@@ -29,7 +29,6 @@ from .models import (
 )
 from .fields import (
     VectorFieldPoly,
-    eval_field,
     linear_diag_field,
     monomial_field,
     tangency_residual,

@@ -9,15 +9,15 @@ re-validated by direct residual evaluation on an independent grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import ConfigurationError, ParameterError
 from .fields import VectorFieldPoly, monomial_field, tangency_residual
-from .models import M_NONMINIMAL, ModelSpec, rho_gradient, surface_point
+from .models import ModelSpec, rho_gradient, surface_point
 
-Column = tuple[int, int, int, str]  # (component, j, k, "re"|"im")
+Column = tuple[int, int, int]  # (component, j, k): vector entries 2i (re), 2i+1 (im)
 
 GAP_CONFIDENT = 1e3
 GAP_AMBIGUOUS = 10.0
@@ -77,22 +77,16 @@ def validation_grid() -> SampleGrid:
 class TangencySystem:
     matrix: np.ndarray = field(repr=False)
     columns: tuple
-    row_weights: np.ndarray = field(repr=False)
-    vanish_at_origin: bool
     model: ModelSpec
-    jet_order: int
     grid: SampleGrid
 
     @property
     def n_unknowns(self) -> int:
-        return len(self.columns)
+        return self.matrix.shape[1]
 
     @property
     def n_samples(self) -> int:
         return self.matrix.shape[0]
-
-    def column_index(self) -> dict:
-        return {c: i for i, c in enumerate(self.columns)}
 
 
 @dataclass
@@ -101,15 +95,17 @@ class AutBasis:
     basis: list
     labels: list
     gap: float
-    confident: bool
     status: str
     validation_residuals: list
-    columns: tuple
     projection_residuals: list = field(default_factory=list)
 
     @property
     def dimension(self) -> int:
         return len(self.basis)
+
+    @property
+    def confident(self) -> bool:
+        return self.status == "confident"
 
 
 def _monomials(N: int, include_origin: bool):
@@ -136,14 +132,11 @@ def assemble(
         grid = default_grid()
 
     monos = _monomials(N, include_origin=not vanish_at_origin)
-    columns: list[Column] = []
-    for comp in (1, 2):
-        for (j, k) in monos:
-            columns.append((comp, j, k, "re"))
-            columns.append((comp, j, k, "im"))
-    if grid.n < 4 * len(columns):
+    columns: tuple[Column, ...] = tuple((comp, j, k) for comp in (1, 2) for (j, k) in monos)
+    n_unknowns = 2 * len(columns)
+    if grid.n < 4 * n_unknowns:
         raise ConfigurationError(
-            f"grid has {grid.n} samples for {len(columns)} unknowns; "
+            f"grid has {grid.n} samples for {n_unknowns} unknowns; "
             "need at least a 4x oversampling"
         )
 
@@ -154,57 +147,46 @@ def assemble(
     # Complex response of each monomial column: g_comp * z1^j z2^k.
     powers1 = {j: z1**j for j in {j for j, _ in monos}}
     powers2 = {k: z2**k for k in {k for _, k in monos}}
-    mat = np.empty((grid.n, len(columns)))
-    ci = 0
-    for comp, g in ((1, g1), (2, g2)):
-        for (j, k) in monos:
-            base = g * powers1[j] * powers2[k]
-            mat[:, ci] = np.real(base)        # coefficient 1
-            mat[:, ci + 1] = -np.imag(base)   # coefficient i
-            ci += 2
+    mat = np.empty((grid.n, n_unknowns))
+    for ci, (comp, j, k) in enumerate(columns):
+        base = (g1 if comp == 1 else g2) * powers1[j] * powers2[k]
+        mat[:, 2 * ci] = np.real(base)         # coefficient 1
+        mat[:, 2 * ci + 1] = -np.imag(base)    # coefficient i
 
     weights = np.max(np.abs(mat), axis=1)
     weights[weights == 0.0] = 1.0
     mat = mat / weights[:, None]
 
-    return TangencySystem(
-        matrix=mat,
-        columns=tuple(columns),
-        row_weights=weights,
-        vanish_at_origin=vanish_at_origin,
-        model=model,
-        jet_order=N,
-        grid=grid,
-    )
+    return TangencySystem(matrix=mat, columns=columns, model=model, grid=grid)
 
 
 def field_from_vector(x: np.ndarray, columns) -> VectorFieldPoly:
+    """Field whose coefficient of monomial ``columns[i]`` is x[2i] + i x[2i+1]."""
     c1: dict = {}
     c2: dict = {}
-    for val, (comp, j, k, part) in zip(x, columns):
-        if val == 0.0:
+    for (comp, j, k), re, im in zip(columns, x[0::2], x[1::2]):
+        if re == 0.0 and im == 0.0:
             continue
-        tgt = c1 if comp == 1 else c2
-        inc = val if part == "re" else 1j * val
-        tgt[(j, k)] = tgt.get((j, k), 0) + inc
+        # + 0.0 turns a -0.0 part into 0.0, so reports never print "-0.0".
+        (c1 if comp == 1 else c2)[(j, k)] = complex(re + 0.0, im + 0.0)
     return VectorFieldPoly(c1, c2)
 
 
 def vector_from_field(f: VectorFieldPoly, columns) -> np.ndarray | None:
-    """Coefficient vector of f in the system's column basis, or None if f
-    uses a monomial outside the columns."""
-    idx = {(comp, j, k, part): i for i, (comp, j, k, part) in enumerate(columns)}
-    x = np.zeros(len(columns))
+    """Coefficient vector of f over the monomial ``columns`` (re, im of
+    monomial i at entries 2i, 2i+1), or None if f uses a monomial outside
+    the columns."""
+    idx = {key: i for i, key in enumerate(columns)}
+    x = np.zeros(2 * len(columns))
     for comp, coeffs in ((1, f.coeffs1), (2, f.coeffs2)):
         for (j, k), v in coeffs.items():
             if v == 0:
                 continue
-            key_re = (comp, j, k, "re")
-            key_im = (comp, j, k, "im")
-            if key_re not in idx:
+            i = idx.get((comp, j, k))
+            if i is None:
                 return None
-            x[idx[key_re]] = v.real
-            x[idx[key_im]] = v.imag
+            x[2 * i] = v.real
+            x[2 * i + 1] = v.imag
     return x
 
 
@@ -259,14 +241,12 @@ def nullspace(
         basis=basis,
         labels=[None] * len(basis),
         gap=gap,
-        confident=status == "confident",
         status=status,
         validation_residuals=resids,
-        columns=system.columns,
     )
 
 
-def default_dictionary(model: ModelSpec | None = None):
+def default_dictionary():
     """Candidate canonical fields, unit coefficient norm, with labels."""
     entries = [
         ("z1 dz1", monomial_field(1, 1, 0, 1.0)),
@@ -291,18 +271,6 @@ def _union_keys(fields_):
     return sorted(keys)
 
 
-def _coeff_vector(f: VectorFieldPoly, keys) -> np.ndarray:
-    x = np.zeros(2 * len(keys))
-    pos = {key: i for i, key in enumerate(keys)}
-    for comp, coeffs in ((1, f.coeffs1), (2, f.coeffs2)):
-        for (j, k), v in coeffs.items():
-            if (comp, j, k) in pos:
-                i = pos[(comp, j, k)]
-                x[2 * i] = v.real
-                x[2 * i + 1] = v.imag
-    return x
-
-
 def canonicalize(basis: AutBasis, dictionary=None) -> AutBasis:
     """Label basis vectors by best-matching dictionary spans.
 
@@ -317,7 +285,7 @@ def canonicalize(basis: AutBasis, dictionary=None) -> AutBasis:
         return basis
 
     keys = _union_keys(basis.basis + [f for _, f in dictionary])
-    B = np.array([_coeff_vector(f, keys) for f in basis.basis])
+    B = np.array([vector_from_field(f, keys) for f in basis.basis])
     B = B / np.linalg.norm(B, axis=1)[:, None]
     # Orthonormalize (SVD vectors already are; QR guards roundoff).
     q, _ = np.linalg.qr(B.T)
@@ -326,7 +294,7 @@ def canonicalize(basis: AutBasis, dictionary=None) -> AutBasis:
     matched = []
     proj_residuals = []
     for label, f in dictionary:
-        v = _coeff_vector(f, keys)
+        v = vector_from_field(f, keys)
         v = v / np.linalg.norm(v)
         resid = float(np.linalg.norm(v - Bo.T @ (Bo @ v)))
         if resid <= LABEL_TOL:
@@ -334,7 +302,7 @@ def canonicalize(basis: AutBasis, dictionary=None) -> AutBasis:
             proj_residuals.append(resid)
 
     if len(matched) == dim:
-        D = np.array([_coeff_vector(f, keys) for _, f, _ in matched])
+        D = np.array([vector_from_field(f, keys) for _, f, _ in matched])
         D = D / np.linalg.norm(D, axis=1)[:, None]
         qd, _ = np.linalg.qr(D.T)
         Do = qd.T[:dim]
@@ -345,31 +313,16 @@ def canonicalize(basis: AutBasis, dictionary=None) -> AutBasis:
             new_fields = [
                 (1.0 / f.coefficient_norm()) * f for _, f, _ in matched
             ]
-            return AutBasis(
-                singular_values=basis.singular_values,
+            return replace(
+                basis,
                 basis=new_fields,
                 labels=[label for label, _, _ in matched],
-                gap=basis.gap,
-                confident=basis.confident,
-                status=basis.status,
-                validation_residuals=basis.validation_residuals,
-                columns=basis.columns,
                 projection_residuals=proj_residuals,
             )
 
     labels = [label for label, _, _ in matched][:dim]
     labels += ["unidentified"] * (dim - len(labels))
-    return AutBasis(
-        singular_values=basis.singular_values,
-        basis=basis.basis,
-        labels=labels,
-        gap=basis.gap,
-        confident=basis.confident,
-        status=basis.status,
-        validation_residuals=basis.validation_residuals,
-        columns=basis.columns,
-        projection_residuals=proj_residuals,
-    )
+    return replace(basis, labels=labels, projection_residuals=proj_residuals)
 
 
 def solve_model(

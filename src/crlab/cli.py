@@ -98,7 +98,7 @@ def cmd_flow(args) -> int:
 
 def cmd_vtype(args) -> int:
     germ = get_germ(args.germ, a=args.a)
-    pts = [0.0 + 0.0j] if args.include_origin else []
+    pts = [0.0 + 0.0j]
     for rr in (0.15, 0.3, 0.45):
         for q in range(8):
             pts.append(rr * np.exp(2j * np.pi * q / 8))
@@ -214,6 +214,8 @@ def _apply_config_file(argv: list[str]) -> list[str]:
     if "--config" not in argv:
         return argv
     i = argv.index("--config")
+    if i + 1 == len(argv) or argv[i + 1].startswith("--"):
+        raise CrlabError("--config needs a file path")
     path = Path(argv[i + 1])
     rest = argv[: i] + argv[i + 2 :]
     extra: list[str] = []
@@ -268,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("vtype", help="scan vanishing orders on a point grid")
     add_common(sp, with_model=False)
     sp.add_argument("--k-max", type=int, default=20)
-    sp.add_argument("--include-origin", action="store_true", default=True)
     sp.set_defaults(func=cmd_vtype)
 
     sp = sub.add_parser("verify", help="verify a candidate automorphism")

@@ -9,11 +9,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .germs import SmoothGerm, make_bump
+from .germs import SmoothGerm, _p1_eval, _p1_wirt, make_bump
 from .models import ModelSpec, ONE_NONMINIMAL, rho
 from .vtype import vanishing_order
-
-_quiet = dict(divide="ignore", over="ignore", under="ignore", invalid="ignore")
 
 
 @dataclass(frozen=True)
@@ -32,22 +30,6 @@ class CounterexampleParams:
             raise ParameterError("need 0 < r < |z20|/4 (support separation)")
         if 2 * self.r >= abs(self.t0):
             raise ParameterError("need 2r < |t0| (denominator never vanishes)")
-
-
-def _flat2(z):
-    """exp(-1/|z|^2), exactly 0 at z = 0."""
-    s = np.abs(z)
-    with np.errstate(**_quiet):
-        safe = np.where(s > 0, s, 1.0)
-        return np.where(s > 0, np.exp(-(safe**-2.0)), 0.0)
-
-
-def _flat2_wirt(z):
-    s = np.abs(z)
-    with np.errstate(**_quiet):
-        safe = np.where(s > 0, s, 1.0)
-        val = np.exp(-(safe**-2.0)) * safe**-4.0 * np.conj(z)
-        return np.where(s > 0, val, 0.0)
 
 
 def build(params: CounterexampleParams, radius: float | None = None) -> SmoothGerm:
@@ -73,7 +55,7 @@ def build(params: CounterexampleParams, radius: float | None = None) -> SmoothGe
     def eval_fn(z):
         z = np.asarray(z, dtype=complex)
         w = z - z20
-        first = chi(z) * _flat2(z)
+        first = chi(z) * _p1_eval(z, 2.0)
         inside = np.abs(w) < 2 * r
         second = np.where(inside, chi(w) * q(np.where(inside, w, 0.0)), 0.0)
         return np.real(first + second)
@@ -81,7 +63,7 @@ def build(params: CounterexampleParams, radius: float | None = None) -> SmoothGe
     def wirt_fn(z):
         z = np.asarray(z, dtype=complex)
         w = z - z20
-        first = chi.wirt(z) * _flat2(z) + chi(z) * _flat2_wirt(z)
+        first = chi.wirt(z) * _p1_eval(z, 2.0) + chi(z) * _p1_wirt(z, 2.0)
         inside = np.abs(w) < 2 * r
         second = np.where(inside, chi.wirt(w) * q(np.where(inside, w, 0.0))
                           + chi(w) * q_wirt(np.where(inside, w, 0.0)), 0.0)

@@ -119,10 +119,6 @@ def linear_diag_field(alpha: float, beta: float) -> VectorFieldPoly:
     return VectorFieldPoly({(1, 0): complex(alpha)}, {(0, 1): 1j * beta})
 
 
-def eval_field(f: VectorFieldPoly, z1, z2):
-    return f.eval(z1, z2)
-
-
 def tangency_residual(model: ModelSpec, f: VectorFieldPoly, t, z2):
     """Re[rho_z1 h1 + rho_z2 h2] at the exact surface point (t, z2).
 

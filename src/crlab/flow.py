@@ -57,9 +57,35 @@ class FlowTrajectory:
                 w.writerow([t, *z1s, z2s.real, z2s.imag, r, u])
 
 
-def _check_tol(tol):
+def _circle_event(i: int, radius: float, direction: int):
+    """Terminal event: the modulus of the complex number (y[i], y[i+1])
+    crosses ``radius`` in ``direction``."""
+
+    def event(t, y):
+        return np.hypot(y[i], y[i + 1]) - radius
+
+    event.terminal = True
+    event.direction = direction
+    return event
+
+
+def _solve(rhs, t_span, y0, tol, n_samples, events):
+    """RK45 on ``t_span`` sampled at ``n_samples`` equispaced times."""
     if not (1e-14 < tol < 1e-2):
         raise ParameterError("tol must lie in (1e-14, 1e-2)")
+    if not np.all(np.isfinite(t_span)):
+        raise ParameterError("t_span must be finite")
+    # solve_ivp never returns when the first step size comes out NaN.
+    if not np.all(np.isfinite(rhs(t_span[0], y0))):
+        raise ParameterError("the right-hand side is not finite at the initial state")
+    t_eval = np.linspace(t_span[0], t_span[1], n_samples)
+    sol = solve_ivp(
+        rhs, t_span, y0, method="RK45", rtol=tol, atol=tol * 1e-2,
+        t_eval=t_eval, events=events,
+    )
+    if sol.status == -1:
+        raise ParameterError(f"integration failed: {sol.message}")
+    return sol
 
 
 def integrate_field(
@@ -76,7 +102,6 @@ def integrate_field(
     is evaluated along the trajectory and the z2 component is confined to
     the germ's domain disk (early exit -> status "left-domain").
     """
-    _check_tol(tol)
     z10, z20 = complex(z0[0]), complex(z0[1])
     y0 = [z10.real, z10.imag, z20.real, z20.imag]
 
@@ -84,24 +109,8 @@ def integrate_field(
         h1, h2 = f.eval(complex(y[0], y[1]), complex(y[2], y[3]))
         return [h1.real, h1.imag, h2.real, h2.imag]
 
-    events = []
-    if model is not None:
-        radius = model.germ.radius
-
-        def leave(t, y):
-            return np.hypot(y[2], y[3]) - radius
-
-        leave.terminal = True
-        leave.direction = 1
-        events.append(leave)
-
-    t_eval = np.linspace(t_span[0], t_span[1], n_samples)
-    sol = solve_ivp(
-        rhs, t_span, y0, method="RK45", rtol=tol, atol=tol * 1e-2,
-        t_eval=t_eval, events=events or None, dense_output=False,
-    )
-    if sol.status == -1:
-        raise ParameterError(f"integration failed: {sol.message}")
+    events = None if model is None else [_circle_event(2, model.germ.radius, 1)]
+    sol = _solve(rhs, t_span, y0, tol, n_samples, events)
     states = sol.y[0] + 1j * sol.y[1]
     states = np.column_stack([states, sol.y[2] + 1j * sol.y[3]])
     times = sol.t
@@ -127,7 +136,6 @@ def characteristic_flow(
     Stops with status "reached-origin" when |gamma| < 1e-12 and
     "left-domain" when |gamma| > domain_radius.
     """
-    _check_tol(tol)
     if l < 0:
         raise ParameterError("l must be a non-negative integer")
     z0 = complex(z0)
@@ -145,25 +153,8 @@ def characteristic_flow(
         d = b * g**l * (1.0 + g0(g))
         return [d.real, d.imag]
 
-    def origin(t, y):
-        return np.hypot(y[0], y[1]) - ORIGIN_RADIUS
-
-    origin.terminal = True
-    origin.direction = -1
-
-    def leave(t, y):
-        return np.hypot(y[0], y[1]) - domain_radius
-
-    leave.terminal = True
-    leave.direction = 1
-
-    t_eval = np.linspace(t_span[0], t_span[1], n_samples)
-    sol = solve_ivp(
-        rhs, t_span, [z0.real, z0.imag], method="RK45", rtol=tol, atol=tol * 1e-2,
-        t_eval=t_eval, events=[origin, leave],
-    )
-    if sol.status == -1:
-        raise ParameterError(f"integration failed: {sol.message}")
+    events = [_circle_event(0, ORIGIN_RADIUS, -1), _circle_event(0, domain_radius, 1)]
+    sol = _solve(rhs, t_span, [z0.real, z0.imag], tol, n_samples, events)
     status = STATUS_OK
     if sol.status == 1:
         hit_origin = len(sol.t_events[0]) > 0

@@ -14,6 +14,7 @@ All evaluations accept complex scalars or numpy arrays and are pure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -162,70 +163,50 @@ def _p3_wirt(z, a):
         return np.where(s > 0, deriv / 2.0, 0.0) + 0.0j
 
 
-def _zero_eval(z):
+def _zero_eval(z, a):
     return np.zeros_like(np.real(z))
 
 
-def _zero_wirt(z):
+def _zero_wirt(z, a):
     return np.zeros_like(np.asarray(z, dtype=complex))
 
 
-def _control_eval(z):
+def _control_eval(z, a):
     return np.abs(z) ** 2
 
 
-def _control_wirt(z):
+def _control_wirt(z, a):
     return np.conj(np.asarray(z, dtype=complex))
 
 
-CATALOG_IDS = ("p1", "p2", "p3", "zero", "control", "counterexample")
+# id -> (P(z, a), dP/dz(z, a), flags); zero and control ignore a.
+_CATALOG = {
+    "p1": (_p1_eval, _p1_wirt, dict(flat_at_origin=True, rotational=True)),
+    "p2": (_p2_eval, _p2_wirt, dict(flat_at_origin=True)),
+    "p3": (_p3_eval, _p3_wirt, dict(flat_at_origin=True, tubular=True)),
+    "zero": (_zero_eval, _zero_wirt, dict(flat_at_origin=True, tubular=True, rotational=True)),
+    "control": (_control_eval, _control_wirt, dict(rotational=True)),
+}
 
-_KIND_TO_ID = {"P1": "p1", "P2": "p2", "P3": "p3", "Zero": "zero", "Control": "control"}
+CATALOG_IDS = (*_CATALOG, "counterexample")
 
 
 def make_catalog_germ(kind: str, a: float = 1.0, radius: float = DEFAULT_RADIUS) -> SmoothGerm:
     """Build one of the catalog germs.  ``a`` is the flatness exponent."""
-    if a <= 0:
-        raise ParameterError("exponent a must be positive")
-    key = _KIND_TO_ID.get(kind, kind.lower())
-    if key == "p1":
-        return SmoothGerm(
-            id="p1", radius=radius,
-            eval_fn=lambda z, a=a: _p1_eval(z, a),
-            wirt_fn=lambda z, a=a: _p1_wirt(z, a),
-            flat_at_origin=True, rotational=True,
-        )
-    if key == "p2":
-        return SmoothGerm(
-            id="p2", radius=radius,
-            eval_fn=lambda z, a=a: _p2_eval(z, a),
-            wirt_fn=lambda z, a=a: _p2_wirt(z, a),
-            flat_at_origin=True,
-        )
-    if key == "p3":
-        return SmoothGerm(
-            id="p3", radius=radius,
-            eval_fn=lambda z, a=a: _p3_eval(z, a),
-            wirt_fn=lambda z, a=a: _p3_wirt(z, a),
-            flat_at_origin=True, tubular=True,
-        )
-    if key == "zero":
-        return SmoothGerm(
-            id="zero", radius=radius,
-            eval_fn=_zero_eval, wirt_fn=_zero_wirt,
-            flat_at_origin=True, tubular=True, rotational=True,
-        )
-    if key == "control":
-        return SmoothGerm(
-            id="control", radius=radius,
-            eval_fn=_control_eval, wirt_fn=_control_wirt,
-            flat_at_origin=False, rotational=True,
-        )
+    if not (math.isfinite(a) and a > 0):
+        raise ParameterError("exponent a must be finite and positive")
+    key = kind.lower()
     if key == "counterexample":
         from .counterexample import CounterexampleParams, build
 
         return build(CounterexampleParams())
-    raise ParameterError(f"unknown germ kind {kind!r}")
+    if key not in _CATALOG:
+        raise ParameterError(f"unknown germ kind {kind!r}")
+    ev, wirt, flags = _CATALOG[key]
+    return SmoothGerm(
+        id=key, radius=radius,
+        eval_fn=lambda z: ev(z, a), wirt_fn=lambda z: wirt(z, a), **flags,
+    )
 
 
 def get_germ(germ_id: str, a: float = 1.0) -> SmoothGerm:

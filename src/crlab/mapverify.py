@@ -3,15 +3,21 @@ predicates on P (rotational symmetry, parity, reparametrization laws)."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateMapError, DomainError, InsufficientDataError
+from .errors import DegenerateMapError, DomainError, InsufficientDataError, ParameterError
 from .germs import SmoothGerm
 from .models import ModelSpec, rho, surface_point
 
 DELTA_FIT_FLOOR = 1e-100
+
+
+def _require_finite(name: str, value: float):
+    if not math.isfinite(value):
+        raise ParameterError(f"{name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -19,6 +25,7 @@ class Scale:
     s: float
 
     def __post_init__(self):
+        _require_finite("scale factor", self.s)
         if self.s == 0:
             raise DegenerateMapError("scale factor must be nonzero real")
 
@@ -29,6 +36,9 @@ class Scale:
 @dataclass(frozen=True)
 class Rotate:
     theta: float
+
+    def __post_init__(self):
+        _require_finite("rotation angle", self.theta)
 
     def apply(self, z1, z2):
         return np.asarray(z1, dtype=complex), np.exp(1j * self.theta) * np.asarray(
@@ -42,6 +52,9 @@ class Rotate:
 @dataclass(frozen=True)
 class TranslateIm:
     t: float
+
+    def __post_init__(self):
+        _require_finite("translation", self.t)
 
     def apply(self, z1, z2):
         return np.asarray(z1, dtype=complex), np.asarray(z2, dtype=complex) + 1j * self.t

@@ -48,6 +48,8 @@ def vanishing_order(
     max directional increment decays faster than |zeta|^K_max across the
     whole radius window (or underflows everywhere).
     """
+    if K_max < 1:
+        raise ParameterError("K_max must be >= 1")
     if radii is None:
         radii = default_radii()
     radii = np.asarray(sorted(radii), dtype=float)
@@ -103,13 +105,13 @@ def vanishing_order(
     )
 
 
+def _scan(germ: SmoothGerm, grid, K_max: int, radii):
+    return [vanishing_order(germ, z, K_max=K_max, radii=radii) for z in grid]
+
+
 def scan_s_infinity(germ: SmoothGerm, grid, K_max: int = DEFAULT_K_MAX, radii=None):
     """Points of the grid flagged infinite-order (candidate S_infinity)."""
-    out = []
-    for z in grid:
-        if vanishing_order(germ, z, K_max=K_max, radii=radii).infinite:
-            out.append(complex(z))
-    return out
+    return [est.point for est in _scan(germ, grid, K_max, radii) if est.infinite]
 
 
 def p_infinity_candidates(model: ModelSpec, s_inf, t_values):
@@ -126,10 +128,7 @@ def p_infinity_candidates(model: ModelSpec, s_inf, t_values):
 
 
 def write_scan_csv(path, germ: SmoothGerm, grid, K_max: int = DEFAULT_K_MAX, radii=None):
-    rows = []
-    for z in grid:
-        est = vanishing_order(germ, z, K_max=K_max, radii=radii)
-        rows.append(est)
+    rows = _scan(germ, grid, K_max, radii)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["re", "im", "slope", "order_or_inf", "r2", "note"])

@@ -9,6 +9,7 @@ from crlab import (
     ModelSpec,
     ONE_NONMINIMAL,
     ParameterError,
+    RIGID,
     SampleGrid,
     assemble,
     default_grid,
@@ -121,3 +122,14 @@ def test_tau_validation():
         nullspace(system, tau=0.0)
     with pytest.raises(ParameterError):
         assemble(model, N=0)
+
+
+@pytest.mark.parametrize("N", range(2, 9))
+@pytest.mark.parametrize("vanish, dim", [(True, 5), (False, 8)])
+def test_hyperquadric_algebra_dimensions(N, vanish, dim):
+    # Re z1 + |z2|^2 = 0: aut = su(2,1) has dimension 8, the isotropy
+    # algebra aut_0 dimension 5 (Chern-Moser).
+    model = ModelSpec(RIGID, get_germ("control"))
+    basis, _ = solve_model(model, N=N, vanish_at_origin=vanish)
+    assert basis.dimension == dim
+    assert basis.status == "confident"

@@ -56,6 +56,10 @@ def test_vtype_scan(tmp_path):
     assert run(["vtype", "--germ", "p1"], tmp_path) == 0
     text = (tmp_path / "vtype_scan.csv").read_text()
     assert "inf" in text
+    # the origin, then three rings of eight points
+    rows = text.splitlines()
+    assert len(rows) == 1 + 25
+    assert rows[1].split(",")[:2] == ["0.0", "0.0"]
 
 
 def test_counterexample_certificate(tmp_path):
@@ -93,3 +97,23 @@ def test_out_dir_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("CRLAB_OUT", str(tmp_path))
     assert main(["vtype", "--germ", "p1"]) == 0
     assert (tmp_path / "vtype_scan.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["flow", "--germ", "p1", "--t-end", "nan"],
+        ["flow", "--germ", "p1", "--alpha", "nan"],
+        ["verify", "--germ", "p1", "--map", "rotate:nan"],
+        ["vtype", "--germ", "p1", "--k-max", "0"],
+        ["solve", "--germ", "p1", "--a", "nan"],
+    ],
+)
+def test_non_finite_or_out_of_range_input_is_invalid(args, tmp_path):
+    assert run(args, tmp_path) == 2
+
+
+@pytest.mark.parametrize("tail", [[], ["--out-dir", "x"]])
+def test_config_without_path_is_invalid(tail, capsys):
+    assert main(["solve", "--config", *tail]) == 2
+    assert "--config needs a file path" in capsys.readouterr().err

@@ -114,3 +114,18 @@ def test_parameter_validation():
         trajectory_from_samples([0.0, 0.0], [0.1, 0.2])
     with pytest.raises(ParameterError):
         blowup_time_estimate(trajectory_from_samples([0, 1], [0.1, 0.2]), 1.0, 1)
+
+
+@pytest.mark.parametrize("t_end", [float("nan"), float("inf")])
+def test_non_finite_time_span_rejected(t_end):
+    with pytest.raises(ParameterError):
+        characteristic_flow(1j, 1, None, 0.3, (0.0, t_end))
+    with pytest.raises(ParameterError):
+        integrate_field(linear_diag_field(1.0, 2.0), (0.0, 0.3), (0.0, t_end))
+
+
+def test_non_finite_field_rejected():
+    with pytest.raises(ParameterError):
+        integrate_field(linear_diag_field(float("nan"), 2.0), (0.1, 0.3), (0.0, 1.0))
+    with pytest.raises(ParameterError):
+        characteristic_flow(float("nan"), 1, None, 0.3, (0.0, 1.0))

@@ -119,3 +119,9 @@ def test_invalid_parameters_rejected():
         get_germ("nope")
     with pytest.raises(ParameterError):
         make_bump(-0.1)
+
+
+@pytest.mark.parametrize("a", [float("nan"), float("inf"), 0.0, -1.0])
+def test_catalog_germ_rejects_bad_exponent(a):
+    with pytest.raises(ParameterError):
+        make_catalog_germ("p1", a=a)

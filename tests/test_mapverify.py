@@ -8,6 +8,7 @@ from crlab import (
     ModelSpec,
     Negate,
     ONE_NONMINIMAL,
+    ParameterError,
     Rotate,
     Scale,
     TranslateIm,
@@ -124,3 +125,10 @@ def test_verdict_report_contents():
     assert abs(rep["delta_hat"] - 1.0) < 1e-8
     bad = verdict_report(P2, Rotate(np.pi / 2), default_grid())
     assert bad["verdict"] == "fail"
+
+
+@pytest.mark.parametrize("cls", [Scale, Rotate, TranslateIm])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_maps_reject_non_finite_parameters(cls, value):
+    with pytest.raises(ParameterError):
+        cls(value)

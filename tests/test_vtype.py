@@ -84,3 +84,9 @@ def test_scan_csv(tmp_path):
     assert len(rows) == 3
     assert text.count("\n") == 4  # header + 3 rows
     assert "inf" in text
+
+
+@pytest.mark.parametrize("k_max", [0, -1])
+def test_vanishing_order_rejects_k_max_below_one(k_max):
+    with pytest.raises(ParameterError):
+        vanishing_order(get_germ("p1"), 0.3, K_max=k_max)
