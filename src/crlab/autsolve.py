@@ -207,16 +207,14 @@ def nullspace(
     an independent validation grid."""
     if not (0 < tau < 1):
         raise ParameterError("tau must be in (0, 1)")
-    _, s, vt = np.linalg.svd(system.matrix, full_matrices=True)
-    n = system.n_unknowns
-    # full_matrices gives all n right singular vectors; sigma of the missing
-    # ones is exactly 0.
-    s_full = np.zeros(n)
-    s_full[: len(s)] = s
-    cutoff = tau * (s_full[0] if s_full[0] > 0 else 1.0)
-    null_mask = s_full <= cutoff
-    s_above = s_full[~null_mask]
-    s_below = s_full[null_mask]
+    if system.n_samples < system.n_unknowns:
+        # The thin SVD would return fewer right singular vectors than unknowns.
+        raise ConfigurationError("the system needs at least as many samples as unknowns")
+    _, s, vt = np.linalg.svd(system.matrix, full_matrices=False)
+    cutoff = tau * (s[0] if s[0] > 0 else 1.0)
+    null_mask = s <= cutoff
+    s_above = s[~null_mask]
+    s_below = s[null_mask]
     if len(s_above) == 0 or len(s_below) == 0:
         gap = float("inf")
     else:
@@ -237,7 +235,7 @@ def nullspace(
         status = "unconfirmed"
 
     return AutBasis(
-        singular_values=s_full,
+        singular_values=s,
         basis=basis,
         labels=[None] * len(basis),
         gap=gap,
@@ -348,7 +346,7 @@ def solve_model(
         "grid": system.grid.describe(),
         "singular_values": [float(x) for x in labeled.singular_values],
         "dimension": labeled.dimension,
-        "gap": labeled.gap,
+        "gap": labeled.gap if np.isfinite(labeled.gap) else None,
         "confident": labeled.confident,
         "status": labeled.status,
         "basis": [f.to_records() for f in labeled.basis],

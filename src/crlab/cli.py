@@ -37,7 +37,7 @@ def _out_dir(args) -> Path:
 
 
 def _write_json(path: Path, payload: dict):
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _resolved_config(args) -> dict:

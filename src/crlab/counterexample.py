@@ -22,6 +22,8 @@ class CounterexampleParams:
     r: float = 0.1
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.z20, self.C, self.t0, self.r])):
+            raise ParameterError("z20, C, t0 and r must be finite")
         if self.z20 == 0:
             raise ParameterError("z20 must be nonzero")
         if self.t0 == 0:

@@ -93,9 +93,20 @@ class VectorFieldPoly:
 
 
 def _eval_sparse(coeffs: Coeffs, z1, z2):
+    z1, z2 = np.asarray(z1), np.asarray(z2)
     total = np.zeros(np.broadcast(z1, z2).shape, dtype=complex)
+    # Powers are cached on first use: tables built up front slow down the
+    # scalar calls that flow right-hand sides make.
+    pow1: dict = {}
+    pow2: dict = {}
     for (j, k) in sorted(coeffs):
-        total = total + coeffs[(j, k)] * np.asarray(z1) ** j * np.asarray(z2) ** k
+        a = pow1.get(j)
+        if a is None:
+            a = pow1[j] = z1**j
+        b = pow2.get(k)
+        if b is None:
+            b = pow2[k] = z2**k
+        total = total + coeffs[(j, k)] * a * b
     if total.ndim == 0:
         return complex(total)
     return total

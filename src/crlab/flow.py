@@ -8,7 +8,6 @@ import csv
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import InsufficientDataError, ParameterError
 from .fields import VectorFieldPoly
@@ -71,6 +70,9 @@ def _circle_event(i: int, radius: float, direction: int):
 
 def _solve(rhs, t_span, y0, tol, n_samples, events):
     """RK45 on ``t_span`` sampled at ``n_samples`` equispaced times."""
+    # Imported here: scipy.integrate is most of `import crlab`'s cost.
+    from scipy.integrate import solve_ivp
+
     if not (1e-14 < tol < 1e-2):
         raise ParameterError("tol must lie in (1e-14, 1e-2)")
     if not np.all(np.isfinite(t_span)):

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -50,6 +51,14 @@ def test_assemble_requires_oversampling():
     tiny = SampleGrid(t_values=(0.0, 0.1), z2_values=(0.3, 0.4))
     with pytest.raises(ConfigurationError):
         assemble(model, N=5, grid=tiny)
+
+
+def test_nullspace_requires_at_least_as_many_samples_as_unknowns():
+    model = ModelSpec(ONE_NONMINIMAL, get_germ("p1"))
+    system = assemble(model, N=3)
+    short = replace(system, matrix=system.matrix[: system.n_unknowns - 1])
+    with pytest.raises(ConfigurationError):
+        nullspace(short)
 
 
 def test_vector_field_round_trip_through_columns():

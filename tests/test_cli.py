@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -68,6 +71,27 @@ def test_counterexample_certificate(tmp_path):
     assert cert["verdict"] == "pass"
 
 
+def test_import_leaves_scipy_integrate_unloaded():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, crlab.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_empty_null_space_report_is_strict_json(tmp_path):
+    assert run(["solve", "--germ", "p2", "--family", "m-nonminimal"], tmp_path) == 0
+    text = (tmp_path / "solve_report.json").read_text()
+    report = json.loads(text, parse_constant=_reject_constant)
+    assert report["dimension"] == 0
+    assert report["gap"] is None
+
+
 def test_counterexample_bad_params(tmp_path):
     assert run(["counterexample", "--r", "0.2"], tmp_path) == 2
 
@@ -107,6 +131,7 @@ def test_out_dir_env_var(tmp_path, monkeypatch):
         ["verify", "--germ", "p1", "--map", "rotate:nan"],
         ["vtype", "--germ", "p1", "--k-max", "0"],
         ["solve", "--germ", "p1", "--a", "nan"],
+        ["counterexample", "--t0", "nan"],
     ],
 )
 def test_non_finite_or_out_of_range_input_is_invalid(args, tmp_path):

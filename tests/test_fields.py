@@ -14,6 +14,7 @@ from crlab import (
     monomial_field,
     surface_point,
     tangency_residual,
+    validation_grid,
 )
 
 T_GRID = np.linspace(-0.3, 0.3, 9)
@@ -144,3 +145,31 @@ def test_linear_diag_field_structure():
     f = linear_diag_field(1.0, 2.0)
     assert f.coeffs1 == {(1, 0): 1.0 + 0j}
     assert f.coeffs2 == {(0, 1): 2j}
+
+
+def _naive_eval(coeffs, z1, z2):
+    """Per-monomial reference: every power recomputed, same summation order."""
+    total = np.zeros(np.broadcast(z1, z2).shape, dtype=complex)
+    for (j, k) in sorted(coeffs):
+        total = total + coeffs[(j, k)] * np.asarray(z1) ** j * np.asarray(z2) ** k
+    return total
+
+
+def test_eval_matches_naive_formula_bit_for_bit():
+    N = 12
+    rng = np.random.default_rng(7)
+    monos = [(j, d - j) for d in range(N + 1) for j in range(d + 1)]
+
+    def dense():
+        return {m: complex(*rng.normal(size=2)) for m in monos}
+
+    f = VectorFieldPoly(dense(), dense())
+    model = ModelSpec(ONE_NONMINIMAL, get_germ("p1"))
+    z1, z2 = surface_point(model, *validation_grid().samples())
+    h1, h2 = f.eval(z1, z2)
+    assert np.array_equal(h1, _naive_eval(f.coeffs1, z1, z2))
+    assert np.array_equal(h2, _naive_eval(f.coeffs2, z1, z2))
+    for a, b in zip(z1[::37], z2[::37]):
+        s1, s2 = f.eval(complex(a), complex(b))
+        assert s1 == complex(_naive_eval(f.coeffs1, complex(a), complex(b)))
+        assert s2 == complex(_naive_eval(f.coeffs2, complex(a), complex(b)))
