@@ -9,12 +9,13 @@ re-validated by direct residual evaluation on an independent grid.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import ConfigurationError, ParameterError
-from .fields import VectorFieldPoly, monomial_field, tangency_residual
+from .fields import VectorFieldPoly, monomial_field, residual_on_frame
 from .models import ModelSpec, rho_gradient, surface_point
 
 Column = tuple[int, int, int]  # (component, j, k): vector entries 2i (re), 2i+1 (im)
@@ -34,6 +35,11 @@ class SampleGrid:
     z2_values: tuple
 
     def __post_init__(self):
+        # Tuples keep the grid hashable, which the validation frame cache needs.
+        object.__setattr__(self, "t_values", tuple(self.t_values))
+        object.__setattr__(self, "z2_values", tuple(self.z2_values))
+        if not (np.all(np.isfinite(self.t_values)) and np.all(np.isfinite(self.z2_values))):
+            raise ParameterError("grid values must be finite")
         if any(abs(z) == 0 for z in self.z2_values):
             raise ParameterError("z2 grid must avoid the origin exactly")
 
@@ -164,7 +170,7 @@ def field_from_vector(x: np.ndarray, columns) -> VectorFieldPoly:
     """Field whose coefficient of monomial ``columns[i]`` is x[2i] + i x[2i+1]."""
     c1: dict = {}
     c2: dict = {}
-    for (comp, j, k), re, im in zip(columns, x[0::2], x[1::2]):
+    for (comp, j, k), re, im in zip(columns, x[0::2].tolist(), x[1::2].tolist()):
         if re == 0.0 and im == 0.0:
             continue
         # + 0.0 turns a -0.0 part into 0.0, so reports never print "-0.0".
@@ -190,12 +196,24 @@ def vector_from_field(f: VectorFieldPoly, columns) -> np.ndarray | None:
     return x
 
 
+@functools.lru_cache(maxsize=1)
+def _validation_frame(model: ModelSpec, grid: SampleGrid):
+    """Surface points and rho gradient on ``grid``, shared by every field
+    validated on the same (model, grid); read-only because they are cached."""
+    T, Z2 = grid.samples()
+    z1, z2 = surface_point(model, T, Z2)
+    g1, g2 = rho_gradient(model, z1, z2)
+    frame = (z1, z2, g1, g2)
+    for a in frame:
+        a.flags.writeable = False
+    return frame
+
+
 def validation_residual(model: ModelSpec, f: VectorFieldPoly, grid: SampleGrid | None = None) -> float:
     """Sup of |tangency residual| on a validation grid."""
     if grid is None:
         grid = validation_grid()
-    T, Z2 = grid.samples()
-    return float(np.max(np.abs(tangency_residual(model, f, T, Z2))))
+    return float(np.max(np.abs(residual_on_frame(f, *_validation_frame(model, grid)))))
 
 
 def nullspace(
@@ -204,13 +222,21 @@ def nullspace(
     val_grid: SampleGrid | None = None,
 ) -> AutBasis:
     """Right singular vectors below the relative threshold tau, certified on
-    an independent validation grid."""
-    if not (0 < tau < 1):
-        raise ParameterError("tau must be in (0, 1)")
+    an independent validation grid.
+
+    tau must lie in [max(m, n) * eps, 1) for an m x n system: below that
+    roundoff floor (numpy's ``matrix_rank`` tolerance) no singular value
+    can be told from zero.
+    """
+    floor = max(system.matrix.shape) * np.finfo(float).eps
+    if not (floor <= tau < 1):
+        raise ParameterError(f"tau must be in [{floor:.3g}, 1) for this system")
     if system.n_samples < system.n_unknowns:
         # The thin SVD would return fewer right singular vectors than unknowns.
         raise ConfigurationError("the system needs at least as many samples as unknowns")
-    _, s, vt = np.linalg.svd(system.matrix, full_matrices=False)
+    # assemble's m >= 4n is past dgesdd's m >> n crossover, where it factors A = QR
+    # and takes the SVD of R too; R's SVD gives the same bits without forming U.
+    _, s, vt = np.linalg.svd(np.linalg.qr(system.matrix, mode="r"), full_matrices=False)
     cutoff = tau * (s[0] if s[0] > 0 else 1.0)
     null_mask = s <= cutoff
     s_above = s[~null_mask]
@@ -221,6 +247,8 @@ def nullspace(
         gap = float(s_above.min() / max(s_below.max(), np.finfo(float).tiny))
 
     basis = [field_from_vector(vt[i], system.columns) for i in np.nonzero(null_mask)[0]]
+    if val_grid is None:
+        val_grid = validation_grid()
     resids = [validation_residual(system.model, f, val_grid) for f in basis]
     certified = [
         r <= CERT_TOL * max(f.max_coefficient(), np.finfo(float).tiny)

@@ -249,7 +249,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("solve", help="compute the infinitesimal automorphism basis")
     add_common(sp)
     sp.add_argument("--jet", type=int, default=5)
-    sp.add_argument("--tau", type=float, default=1e-8)
+    sp.add_argument(
+        "--tau", type=float, default=1e-8,
+        help="relative singular-value cutoff in [max(samples, unknowns) * eps, 1);"
+        " the floor is about 3.5e-13 on the default grid",
+    )
     sp.add_argument(
         "--allow-origin", action="store_true",
         help="drop the vanish-at-origin constraint (aut instead of aut_0)",

@@ -138,5 +138,10 @@ def tangency_residual(model: ModelSpec, f: VectorFieldPoly, t, z2):
     """
     z1, z2c = surface_point(model, t, z2)
     g1, g2 = rho_gradient(model, z1, z2c)
-    h1, h2 = f.eval(z1, z2c)
+    return residual_on_frame(f, z1, z2c, g1, g2)
+
+
+def residual_on_frame(f: VectorFieldPoly, z1, z2, g1, g2):
+    """Re[g1 h1 + g2 h2] at surface points (z1, z2) with rho gradient (g1, g2)."""
+    h1, h2 = f.eval(z1, z2)
     return np.real(g1 * h1 + g2 * h2)

@@ -77,12 +77,17 @@ def _solve(rhs, t_span, y0, tol, n_samples, events):
         raise ParameterError("tol must lie in (1e-14, 1e-2)")
     if not np.all(np.isfinite(t_span)):
         raise ParameterError("t_span must be finite")
-    # solve_ivp never returns when the first step size comes out NaN.
-    if not np.all(np.isfinite(rhs(t_span[0], y0))):
-        raise ParameterError("the right-hand side is not finite at the initial state")
+    atol = tol * 1e-2
+    # solve_ivp never returns when the first step size comes out NaN: its
+    # step heuristic divides the right-hand side by a scale of at least atol.
+    with np.errstate(over="ignore"):
+        if not np.all(np.isfinite(np.asarray(rhs(t_span[0], y0)) / atol)):
+            raise ParameterError(
+                "the right-hand side at the initial state is not finite or too large"
+            )
     t_eval = np.linspace(t_span[0], t_span[1], n_samples)
     sol = solve_ivp(
-        rhs, t_span, y0, method="RK45", rtol=tol, atol=tol * 1e-2,
+        rhs, t_span, y0, method="RK45", rtol=tol, atol=atol,
         t_eval=t_eval, events=events,
     )
     if sol.status == -1:

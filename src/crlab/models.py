@@ -41,8 +41,8 @@ class ModelSpec:
         if self.family == M_NONMINIMAL:
             if not (isinstance(self.m, int) and self.m >= 2):
                 raise ParameterError("m-nonminimal models require integer m >= 2")
-        if self.t_bound <= 0:
-            raise ParameterError("t_bound must be positive")
+        if not (np.isfinite(self.t_bound) and self.t_bound > 0):
+            raise ParameterError("t_bound must be finite and positive")
 
     @property
     def z2_bound(self) -> float:

@@ -18,6 +18,7 @@ from crlab import (
     monomial_field,
     nullspace,
     solve_model,
+    tangency_residual,
     validation_grid,
     validation_residual,
 )
@@ -129,6 +130,13 @@ def test_tau_validation():
     system = assemble(model, N=2)
     with pytest.raises(ParameterError):
         nullspace(system, tau=0.0)
+    # Below max(m, n) * eps no singular value can be told from zero.
+    floor = max(system.matrix.shape) * np.finfo(float).eps
+    with pytest.raises(ParameterError):
+        nullspace(system, tau=1e-300)
+    with pytest.raises(ParameterError):
+        nullspace(system, tau=floor / 2)
+    nullspace(system, tau=floor)
     with pytest.raises(ParameterError):
         assemble(model, N=0)
 
@@ -142,3 +150,52 @@ def test_hyperquadric_algebra_dimensions(N, vanish, dim):
     basis, _ = solve_model(model, N=N, vanish_at_origin=vanish)
     assert basis.dimension == dim
     assert basis.status == "confident"
+
+
+@pytest.mark.parametrize(
+    "germ, family, N",
+    [("p1", ONE_NONMINIMAL, n) for n in range(5, 13)]
+    + [("control", RIGID, n) for n in range(2, 9)],
+)
+def test_nullspace_matches_direct_thin_svd(germ, family, N):
+    # nullspace takes the SVD of the QR factor R; it must give the same bits
+    # as the thin SVD of the whole matrix.
+    system = assemble(ModelSpec(family, get_germ(germ)), N=N)
+    _, s, vt = np.linalg.svd(system.matrix, full_matrices=False)
+    basis = nullspace(system)
+    assert np.array_equal(basis.singular_values, s)
+    null = s <= 1e-8 * s[0]
+    assert basis.basis == [field_from_vector(v, system.columns) for v in vt[null]]
+
+
+@pytest.mark.parametrize("germ", ["p1", "counterexample"])
+def test_validation_residual_equals_tangency_residual(germ):
+    model = ModelSpec(ONE_NONMINIMAL, get_germ(germ))
+    basis = nullspace(assemble(model, N=5))
+    assert basis.dimension > 0
+    T, Z = validation_grid().samples()
+    for f, r in zip(basis.basis, basis.validation_residuals):
+        expected = float(np.max(np.abs(tangency_residual(model, f, T, Z))))
+        assert r == expected
+        assert validation_residual(model, f) == expected
+
+
+def test_validation_residual_is_per_model_and_grid():
+    # The surface frame is reused between calls; switching the model or the
+    # grid must not hand back another one's frame.
+    f = monomial_field(1, 1, 0, 1j)
+    g = get_germ("p1")
+    a = ModelSpec(ONE_NONMINIMAL, g)
+    b = ModelSpec(M_NONMINIMAL, g, m=2)
+    vg = validation_grid()
+    # Built from lists: the grid stores tuples, so it is hashable.
+    dg = SampleGrid(t_values=list(vg.t_values[:4]), z2_values=list(vg.z2_values))
+
+    def direct(model, grid):
+        T, Z = grid.samples()
+        return float(np.max(np.abs(tangency_residual(model, f, T, Z))))
+
+    calls = [(a, vg), (b, vg), (a, vg), (a, dg), (b, dg), (a, vg)]
+    got = [validation_residual(model, f, grid) for model, grid in calls]
+    assert got == [direct(model, grid) for model, grid in calls]
+    assert len(set(got)) == 4

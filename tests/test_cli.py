@@ -138,6 +138,25 @@ def test_non_finite_or_out_of_range_input_is_invalid(args, tmp_path):
     assert run(args, tmp_path) == 2
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        # The first step size of the integrator overflowed to NaN: a hang.
+        ["flow", "--germ", "p1", "--beta", "1e300"],
+        # Below the roundoff floor the null space came out empty, "confident".
+        ["solve", "--germ", "p1", "--tau", "1e-300"],
+    ],
+)
+def test_out_of_range_input_exits_2_in_a_subprocess(args, tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-m", "crlab.cli", *args, "--out-dir", str(tmp_path)],
+        cwd=src, capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 2
+    assert out.stderr.startswith("error: ")
+
+
 @pytest.mark.parametrize("tail", [[], ["--out-dir", "x"]])
 def test_config_without_path_is_invalid(tail, capsys):
     assert main(["solve", "--config", *tail]) == 2

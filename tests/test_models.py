@@ -8,6 +8,7 @@ from crlab import (
     ONE_NONMINIMAL,
     ParameterError,
     RIGID,
+    SampleGrid,
     get_germ,
     rho,
     rho_gradient,
@@ -104,3 +105,13 @@ def test_describe_round_trips_family_and_germ():
     assert d["family"] == M_NONMINIMAL
     assert d["germ"] == "p2"
     assert d["m"] == 4
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_t_bound_and_grid_values_rejected(bad):
+    with pytest.raises(ParameterError):
+        ModelSpec(ONE_NONMINIMAL, get_germ("p1"), t_bound=bad)
+    with pytest.raises(ParameterError):
+        SampleGrid(t_values=(0.0, bad), z2_values=(0.3, 0.4))
+    with pytest.raises(ParameterError):
+        SampleGrid(t_values=(0.0, 0.1), z2_values=(0.3, complex(0.4, bad)))
