@@ -93,8 +93,15 @@ class VectorFieldPoly:
 
 
 def _eval_sparse(coeffs: Coeffs, z1, z2):
-    z1, z2 = np.asarray(z1), np.asarray(z2)
-    total = np.zeros(np.broadcast(z1, z2).shape, dtype=complex)
+    # Two complex scalars (a flow right-hand side) take plain Python
+    # arithmetic: numpy's 0-d overhead is most of a scalar call.  The
+    # results are bit-identical to the array formula's.
+    if isinstance(z1, complex) and isinstance(z2, complex):
+        z1, z2 = complex(z1), complex(z2)
+        total, power = 0j, _scalar_power
+    else:
+        z1, z2 = np.asarray(z1), np.asarray(z2)
+        total, power = np.zeros(np.broadcast(z1, z2).shape, dtype=complex), pow
     # Powers are cached on first use: tables built up front slow down the
     # scalar calls that flow right-hand sides make.
     pow1: dict = {}
@@ -102,14 +109,19 @@ def _eval_sparse(coeffs: Coeffs, z1, z2):
     for (j, k) in sorted(coeffs):
         a = pow1.get(j)
         if a is None:
-            a = pow1[j] = z1**j
+            a = pow1[j] = power(z1, j)
         b = pow2.get(k)
         if b is None:
-            b = pow2[k] = z2**k
+            b = pow2[k] = power(z2, k)
         total = total + coeffs[(j, k)] * a * b
-    if total.ndim == 0:
+    if isinstance(total, np.ndarray) and total.ndim == 0:
         return complex(total)
     return total
+
+
+def _scalar_power(z: complex, j: int) -> complex:
+    # numpy squares with np.square, which rounds differently from z * z.
+    return complex(np.asarray(z) ** 2) if j == 2 else z**j
 
 
 def _merge(a: Coeffs, b: Coeffs) -> Coeffs:

@@ -5,6 +5,7 @@ u(t) = log|P(gamma(t))|/2 diagnostic."""
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,6 +17,9 @@ from .models import ModelSpec, rho
 
 UNDERFLOW_FLOOR = 1e-290
 ORIGIN_RADIUS = 1e-12
+# Right-hand-side evaluations one integration may make.  solve_ivp has no
+# step budget, and its run time grows with the size of the right-hand side.
+MAX_RHS_EVALS = 200_000
 
 STATUS_OK = "ok"
 STATUS_LEFT_DOMAIN = "left-domain"
@@ -79,15 +83,27 @@ def _solve(rhs, t_span, y0, tol, n_samples, events):
         raise ParameterError("t_span must be finite")
     atol = tol * 1e-2
     # solve_ivp never returns when the first step size comes out NaN: its
-    # step heuristic divides the right-hand side by a scale of at least atol.
+    # step heuristic takes the norm of the right-hand side over a scale of at
+    # least atol, which must not overflow.
     with np.errstate(over="ignore"):
-        if not np.all(np.isfinite(np.asarray(rhs(t_span[0], y0)) / atol)):
+        scaled = np.asarray(rhs(t_span[0], y0)) / atol
+        if not np.isfinite(np.dot(scaled, scaled)):
             raise ParameterError(
                 "the right-hand side at the initial state is not finite or too large"
             )
+    evals = itertools.count(1)
+
+    def budgeted_rhs(t, y):
+        if next(evals) > MAX_RHS_EVALS:
+            raise ParameterError(
+                f"integration needs more than {MAX_RHS_EVALS} right-hand-side "
+                "evaluations; the field is too large for t_span and tol"
+            )
+        return rhs(t, y)
+
     t_eval = np.linspace(t_span[0], t_span[1], n_samples)
     sol = solve_ivp(
-        rhs, t_span, y0, method="RK45", rtol=tol, atol=atol,
+        budgeted_rhs, t_span, y0, method="RK45", rtol=tol, atol=atol,
         t_eval=t_eval, events=events,
     )
     if sol.status == -1:

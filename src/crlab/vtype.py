@@ -3,7 +3,9 @@ product-set inner approximation of the infinite-type locus."""
 
 from __future__ import annotations
 
+import cmath
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,10 +17,7 @@ from .models import ModelSpec, surface_point
 DEFAULT_K_MAX = 20
 DEFAULT_N_ANGLES = 16
 R2_ACCEPT = 0.999
-
-
-def default_radii(lo: float = 1e-3, hi: float = 1e-1, n: int = 10):
-    return tuple(np.logspace(np.log10(lo), np.log10(hi), n))
+DEFAULT_RADII = tuple(np.logspace(-3, -1, 10))
 
 
 @dataclass(frozen=True)
@@ -48,23 +47,25 @@ def vanishing_order(
     max directional increment decays faster than |zeta|^K_max across the
     whole radius window (or underflows everywhere).
     """
-    if K_max < 1:
-        raise ParameterError("K_max must be >= 1")
-    if radii is None:
-        radii = default_radii()
-    radii = np.asarray(sorted(radii), dtype=float)
+    if not (math.isfinite(K_max) and K_max >= 1):
+        raise ParameterError("K_max must be finite and >= 1")
+    if not (isinstance(n_angles, (int, np.integer)) and n_angles >= 1):
+        raise ParameterError("n_angles must be an integer >= 1")
+    radii = np.asarray(sorted(DEFAULT_RADII if radii is None else radii), dtype=float)
     if len(radii) < 8:
         raise ParameterError("need at least 8 radii for a stable fit")
+    if not (np.all(np.isfinite(radii)) and radii[0] > 0):
+        raise ParameterError("radii must be finite and positive")
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise ParameterError("z must be finite")
     if abs(z) + radii.max() > germ.radius * (1 + 1e-12):
         raise ParameterError("radius window leaves the germ's domain disk")
 
     angles = 2 * np.pi * np.arange(n_angles) / n_angles
     offsets = np.exp(1j * angles)
     p0 = germ(z)
-    diffs = np.empty(len(radii))
-    for i, r in enumerate(radii):
-        diffs[i] = np.max(np.abs(germ(z + r * offsets) - p0))
+    diffs = np.max(np.abs(germ(z + radii[:, None] * offsets) - p0), axis=1)
 
     positive = diffs > 0.0
     if not positive.any():

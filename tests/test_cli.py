@@ -143,6 +143,10 @@ def test_non_finite_or_out_of_range_input_is_invalid(args, tmp_path):
     [
         # The first step size of the integrator overflowed to NaN: a hang.
         ["flow", "--germ", "p1", "--beta", "1e300"],
+        # Finite but large fields ran for minutes or never ended: the
+        # integrator had no step budget.
+        ["flow", "--germ", "p1", "--beta", "1e3"],
+        ["flow", "--germ", "p1", "--beta", "1e150"],
         # Below the roundoff floor the null space came out empty, "confident".
         ["solve", "--germ", "p1", "--tau", "1e-300"],
     ],

@@ -1,6 +1,8 @@
 """Field algebra plus the closed-form tangency residuals used as oracles
 throughout the solver tests."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -155,6 +157,10 @@ def _naive_eval(coeffs, z1, z2):
     return total
 
 
+def _bits(c: complex):
+    return struct.pack("<dd", c.real, c.imag)
+
+
 def test_eval_matches_naive_formula_bit_for_bit():
     N = 12
     rng = np.random.default_rng(7)
@@ -173,3 +179,19 @@ def test_eval_matches_naive_formula_bit_for_bit():
         s1, s2 = f.eval(complex(a), complex(b))
         assert s1 == complex(_naive_eval(f.coeffs1, complex(a), complex(b)))
         assert s2 == complex(_naive_eval(f.coeffs2, complex(a), complex(b)))
+
+    # Scalar calls take a plain-Python path; it must agree bit for bit,
+    # sign of zero included, also at signed zeros and tiny parts and for
+    # numpy complex scalars, and return a Python complex.
+    parts = (0.0, -0.0, 1e-300, -1e-300, 0.7, -1.3)
+    specials = [complex(x, y) for x in parts for y in parts]
+    one_monomial = [VectorFieldPoly({m: complex(*rng.normal(size=2))}, {}) for m in monos]
+    for g in [f, *one_monomial[::5], linear_diag_field(0.5, -2.0)]:
+        for a in specials[::5] if g is f else specials:
+            for b in specials[1::4]:
+                for cast in (complex, np.complex128):
+                    s1, s2 = g.eval(cast(a), cast(b))
+                    assert type(s1) is complex and type(s2) is complex
+                    assert _bits(s1) == _bits(complex(_naive_eval(g.coeffs1, a, b)))
+                    assert _bits(s2) == _bits(complex(_naive_eval(g.coeffs2, a, b)))
+

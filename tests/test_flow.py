@@ -129,3 +129,23 @@ def test_non_finite_field_rejected():
         integrate_field(linear_diag_field(float("nan"), 2.0), (0.1, 0.3), (0.0, 1.0))
     with pytest.raises(ParameterError):
         characteristic_flow(float("nan"), 1, None, 0.3, (0.0, 1.0))
+
+
+def test_step_budget_stops_a_long_integration(monkeypatch):
+    from crlab import flow
+
+    f = linear_diag_field(1.0, 2.0)
+    traj = integrate_field(f, (0.1, 0.3), (0.0, 1.0))
+    assert traj.status == "ok"
+    monkeypatch.setattr(flow, "MAX_RHS_EVALS", 50)
+    with pytest.raises(ParameterError, match="more than 50 right-hand-side"):
+        integrate_field(f, (0.1, 0.3), (0.0, 1.0))
+    with pytest.raises(ParameterError, match="more than 50 right-hand-side"):
+        characteristic_flow(1j, 1, None, 0.3, (0.0, 5.0))
+
+
+def test_start_state_whose_scaled_norm_overflows_is_rejected():
+    # |rhs / atol| ~ 3e161 is finite, but its square, which the step-size
+    # heuristic forms, is not.
+    with pytest.raises(ParameterError, match="at the initial state"):
+        integrate_field(linear_diag_field(1.0, 1e150), (0.1, 0.3), (0.0, 1.0))

@@ -90,3 +90,85 @@ def test_scan_csv(tmp_path):
 def test_vanishing_order_rejects_k_max_below_one(k_max):
     with pytest.raises(ParameterError):
         vanishing_order(get_germ("p1"), 0.3, K_max=k_max)
+
+
+def _reference_vanishing_order(germ, z, K_max=20, radii=np.logspace(-3, -1, 10), n_angles=16):
+    """The estimator with one germ call per radius: the increment loop that
+    the batched evaluation in ``vanishing_order`` must reproduce exactly."""
+    radii = np.asarray(sorted(radii), dtype=float)
+    z = complex(z)
+    offsets = np.exp(1j * (2 * np.pi * np.arange(n_angles) / n_angles))
+    p0 = germ(z)
+    diffs = np.empty(len(radii))
+    for i, r in enumerate(radii):
+        diffs[i] = np.max(np.abs(germ(z + r * offsets) - p0))
+    positive = diffs > 0.0
+    if positive.sum() < 2:
+        return None, True, float("inf"), float("nan"), "by-underflow"
+    x, y = np.log(radii[positive]), np.log(diffs[positive])
+    A = np.column_stack([x, np.ones_like(x)])
+    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
+    slope = float(coef[0])
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    r2 = 1.0 - float(np.sum((y - A @ coef) ** 2)) / ss_tot if ss_tot > 0 else 1.0
+    if slope >= K_max:
+        return None, True, slope, r2, "slope-exceeds-window"
+    if np.all(diffs <= radii**K_max):
+        return None, True, slope, r2, "sub-power-window"
+    if r2 >= 0.999:
+        return int(round(slope)), False, slope, r2, ""
+    return None, False, slope, r2, "poor-fit"
+
+
+@pytest.mark.parametrize("gid", ["p1", "p2", "p3", "counterexample", "control"])
+@pytest.mark.parametrize(
+    "window",
+    [
+        {},
+        {"radii": np.logspace(-4, -1.5, 12), "n_angles": 7},
+        {"radii": np.linspace(0.002, 0.05, 9)[::-1], "n_angles": 33},
+        {"radii": np.logspace(-3, -1, 10), "n_angles": 1},
+    ],
+)
+def test_vanishing_order_matches_per_radius_loop_exactly(gid, window):
+    germ = get_germ(gid)
+    rng = np.random.default_rng(11)
+    points = [0.0, 0.3j, -0.3j, 0.3, *(0.55 * np.sqrt(rng.uniform(size=20))
+                                      * np.exp(2j * np.pi * rng.uniform(size=20)))]
+    if gid == "counterexample":
+        from crlab.counterexample import CounterexampleParams
+
+        points.append(CounterexampleParams().z20)
+    for z in points:
+        est = vanishing_order(germ, z, **window)
+        order, infinite, slope, r2, note = _reference_vanishing_order(germ, z, **window)
+        assert (est.order, est.infinite, est.note) == (order, infinite, note)
+        assert est.slope == slope or (np.isnan(est.slope) and np.isnan(slope))
+        assert est.r2 == r2 or (np.isnan(est.r2) and np.isnan(r2))
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"n_angles": 0},
+        {"n_angles": -3},
+        {"n_angles": 2.5},
+        {"n_angles": float("nan")},
+        {"radii": [-0.01, *np.logspace(-3, -1, 9)]},
+        {"radii": [0.0] * 10},
+        {"radii": [float("nan"), *np.logspace(-3, -1, 9)]},
+        {"radii": [float("inf"), *np.logspace(-3, -1, 9)]},
+        {"K_max": float("nan")},
+        {"K_max": float("inf")},
+    ],
+)
+def test_vanishing_order_rejects_bad_window(kwargs, capfd):
+    with pytest.raises(ParameterError):
+        vanishing_order(get_germ("p1"), 0.3, **kwargs)
+    assert capfd.readouterr().err == ""
+
+
+@pytest.mark.parametrize("z", [complex("nan"), complex("inf"), complex(0.1, float("nan"))])
+def test_vanishing_order_rejects_non_finite_point(z):
+    with pytest.raises(ParameterError):
+        vanishing_order(get_germ("p1"), z)
