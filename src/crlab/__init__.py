@@ -15,7 +15,6 @@ from .germs import (
     SmoothGerm,
     get_germ,
     make_bump,
-    make_catalog_germ,
     wirtinger_fd,
 )
 from .models import (
@@ -39,7 +38,6 @@ from .autsolve import (
     TangencySystem,
     assemble,
     canonicalize,
-    default_dictionary,
     default_grid,
     nullspace,
     solve_model,

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigurationError, ParameterError
 from .fields import VectorFieldPoly, monomial_field, residual_on_frame
-from .models import ModelSpec, rho_gradient, surface_point
+from .models import ModelSpec, surface_frame
 
 Column = tuple[int, int, int]  # (component, j, k): vector entries 2i (re), 2i+1 (im)
 
@@ -35,7 +35,7 @@ class SampleGrid:
     z2_values: tuple
 
     def __post_init__(self):
-        # Tuples keep the grid hashable, which the validation frame cache needs.
+        # Tuples keep the frozen grid immutable and hashable.
         object.__setattr__(self, "t_values", tuple(self.t_values))
         object.__setattr__(self, "z2_values", tuple(self.z2_values))
         if not (np.all(np.isfinite(self.t_values)) and np.all(np.isfinite(self.z2_values))):
@@ -146,9 +146,7 @@ def assemble(
             "need at least a 4x oversampling"
         )
 
-    T, Z2 = grid.samples()
-    z1, z2 = surface_point(model, T, Z2)
-    g1, g2 = rho_gradient(model, z1, z2)
+    z1, z2, g1, g2 = surface_frame(model, *grid.samples())
 
     # Complex response of each monomial column: g_comp * z1^j z2^k.
     powers1 = {j: z1**j for j in {j for j, _ in monos}}
@@ -197,30 +195,21 @@ def vector_from_field(f: VectorFieldPoly, columns) -> np.ndarray | None:
 
 
 @functools.lru_cache(maxsize=1)
-def _validation_frame(model: ModelSpec, grid: SampleGrid):
-    """Surface points and rho gradient on ``grid``, shared by every field
-    validated on the same (model, grid); read-only because they are cached."""
-    T, Z2 = grid.samples()
-    z1, z2 = surface_point(model, T, Z2)
-    g1, g2 = rho_gradient(model, z1, z2)
-    frame = (z1, z2, g1, g2)
+def _validation_frame(model: ModelSpec):
+    """Surface points and rho gradient on the validation grid, shared by every
+    field validated on ``model``; read-only because they are cached."""
+    frame = surface_frame(model, *validation_grid().samples())
     for a in frame:
         a.flags.writeable = False
     return frame
 
 
-def validation_residual(model: ModelSpec, f: VectorFieldPoly, grid: SampleGrid | None = None) -> float:
-    """Sup of |tangency residual| on a validation grid."""
-    if grid is None:
-        grid = validation_grid()
-    return float(np.max(np.abs(residual_on_frame(f, *_validation_frame(model, grid)))))
+def validation_residual(model: ModelSpec, f: VectorFieldPoly) -> float:
+    """Sup of |tangency residual| on the validation grid."""
+    return float(np.max(np.abs(residual_on_frame(f, *_validation_frame(model)))))
 
 
-def nullspace(
-    system: TangencySystem,
-    tau: float = 1e-8,
-    val_grid: SampleGrid | None = None,
-) -> AutBasis:
+def nullspace(system: TangencySystem, tau: float = 1e-8) -> AutBasis:
     """Right singular vectors below the relative threshold tau, certified on
     an independent validation grid.
 
@@ -247,9 +236,7 @@ def nullspace(
         gap = float(s_above.min() / max(s_below.max(), np.finfo(float).tiny))
 
     basis = [field_from_vector(vt[i], system.columns) for i in np.nonzero(null_mask)[0]]
-    if val_grid is None:
-        val_grid = validation_grid()
-    resids = [validation_residual(system.model, f, val_grid) for f in basis]
+    resids = [validation_residual(system.model, f) for f in basis]
     certified = [
         r <= CERT_TOL * max(f.max_coefficient(), np.finfo(float).tiny)
         for r, f in zip(resids, basis)
@@ -272,19 +259,18 @@ def nullspace(
     )
 
 
-def default_dictionary():
-    """Candidate canonical fields, unit coefficient norm, with labels."""
-    entries = [
-        ("z1 dz1", monomial_field(1, 1, 0, 1.0)),
-        ("i z1 dz1", monomial_field(1, 1, 0, 1j)),
-        ("i z2 dz2", monomial_field(2, 0, 1, 1j)),
-        ("z2 dz2", monomial_field(2, 0, 1, 1.0)),
-        ("i dz2", monomial_field(2, 0, 0, 1j)),
-        ("dz2", monomial_field(2, 0, 0, 1.0)),
-        ("i dz1", monomial_field(1, 0, 0, 1j)),
-        ("dz1", monomial_field(1, 0, 0, 1.0)),
-    ]
-    return entries
+# Candidate canonical fields with labels.  Each is one monomial with a unit
+# coefficient, so each is a unit coordinate vector of the coefficient space.
+DICTIONARY = (
+    ("z1 dz1", monomial_field(1, 1, 0, 1.0)),
+    ("i z1 dz1", monomial_field(1, 1, 0, 1j)),
+    ("i z2 dz2", monomial_field(2, 0, 1, 1j)),
+    ("z2 dz2", monomial_field(2, 0, 1, 1.0)),
+    ("i dz2", monomial_field(2, 0, 0, 1j)),
+    ("dz2", monomial_field(2, 0, 0, 1.0)),
+    ("i dz1", monomial_field(1, 0, 0, 1j)),
+    ("dz1", monomial_field(1, 0, 0, 1.0)),
+)
 
 
 def _union_keys(fields_):
@@ -297,20 +283,18 @@ def _union_keys(fields_):
     return sorted(keys)
 
 
-def canonicalize(basis: AutBasis, dictionary=None) -> AutBasis:
-    """Label basis vectors by best-matching dictionary spans.
+def canonicalize(basis: AutBasis) -> AutBasis:
+    """Label basis vectors by best-matching ``DICTIONARY`` entries.
 
-    If the matched dictionary fields span the same space (to 1e-10), they
+    If the matched entries span the same space (to ``SPAN_TOL``), they
     replace the raw SVD vectors; otherwise unmatched directions are labeled
     "unidentified" and the raw vectors are kept.
     """
-    if dictionary is None:
-        dictionary = default_dictionary()
     dim = basis.dimension
     if dim == 0:
         return basis
 
-    keys = _union_keys(basis.basis + [f for _, f in dictionary])
+    keys = _union_keys(basis.basis + [f for _, f in DICTIONARY])
     B = np.array([vector_from_field(f, keys) for f in basis.basis])
     B = B / np.linalg.norm(B, axis=1)[:, None]
     # Orthonormalize (SVD vectors already are; QR guards roundoff).
@@ -319,29 +303,22 @@ def canonicalize(basis: AutBasis, dictionary=None) -> AutBasis:
 
     matched = []
     proj_residuals = []
-    for label, f in dictionary:
+    for label, f in DICTIONARY:
         v = vector_from_field(f, keys)
-        v = v / np.linalg.norm(v)
         resid = float(np.linalg.norm(v - Bo.T @ (Bo @ v)))
         if resid <= LABEL_TOL:
-            matched.append((label, f, resid))
+            matched.append((label, f, np.flatnonzero(v)[0]))
             proj_residuals.append(resid)
 
     if len(matched) == dim:
-        D = np.array([vector_from_field(f, keys) for _, f, _ in matched])
-        D = D / np.linalg.norm(D, axis=1)[:, None]
-        qd, _ = np.linalg.qr(D.T)
-        Do = qd.T[:dim]
-        span_defect = max(
-            float(np.linalg.norm(b - Do.T @ (Do @ b))) for b in Bo
-        )
-        if span_defect <= SPAN_TOL:
-            new_fields = [
-                (1.0 / f.coefficient_norm()) * f for _, f, _ in matched
-            ]
+        # The matched entries span the coordinates they sit on, so Bo lies in
+        # their span when its rows vanish on every other coordinate.
+        outside = np.ones(len(keys) * 2, dtype=bool)
+        outside[[i for _, _, i in matched]] = False
+        if np.linalg.norm(Bo[:, outside], axis=1).max() <= SPAN_TOL:
             return replace(
                 basis,
-                basis=new_fields,
+                basis=[VectorFieldPoly(dict(f.coeffs1), dict(f.coeffs2)) for _, f, _ in matched],
                 labels=[label for label, _, _ in matched],
                 projection_residuals=proj_residuals,
             )
@@ -356,14 +333,11 @@ def solve_model(
     N: int = 5,
     tau: float = 1e-8,
     vanish_at_origin: bool = True,
-    grid: SampleGrid | None = None,
-    val_grid: SampleGrid | None = None,
-    dictionary=None,
 ) -> tuple[AutBasis, dict]:
     """Assemble, solve, canonicalize; return the basis and a JSON-ready report."""
-    system = assemble(model, N, grid=grid, vanish_at_origin=vanish_at_origin)
-    raw = nullspace(system, tau=tau, val_grid=val_grid)
-    labeled = canonicalize(raw, dictionary)
+    system = assemble(model, N, vanish_at_origin=vanish_at_origin)
+    raw = nullspace(system, tau=tau)
+    labeled = canonicalize(raw)
     report = {
         "model": model.describe(),
         "jet_order": N,

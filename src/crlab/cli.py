@@ -268,7 +268,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--z2-re", type=float, default=0.5)
     sp.add_argument("--z2-im", type=float, default=0.0)
     sp.add_argument("--t-end", type=float, default=5.0)
-    sp.add_argument("--tol", type=float, default=1e-10)
+    sp.add_argument(
+        "--tol", type=float, default=1e-10,
+        help="integrator tolerance in [100 * eps, 1e-2), about [2.2e-14, 1e-2)",
+    )
     sp.set_defaults(func=cmd_flow)
 
     sp = sub.add_parser("vtype", help="scan vanishing orders on a point grid")

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .germs import SmoothGerm, _p1_eval, _p1_wirt, make_bump
+from .germs import DEFAULT_RADIUS, SmoothGerm, _p1_eval, _p1_wirt, make_bump
 from .models import ModelSpec, ONE_NONMINIMAL, rho
 from .vtype import vanishing_order
 
@@ -34,12 +34,10 @@ class CounterexampleParams:
             raise ParameterError("need 2r < |t0| (denominator never vanishes)")
 
 
-def build(params: CounterexampleParams, radius: float | None = None) -> SmoothGerm:
+def build(params: CounterexampleParams) -> SmoothGerm:
     """The germ chi(z) exp(-1/|z|^2) + chi(z - z20) (C - (Re w + C Im w)/(t0 + Im w))."""
     z20, C, t0, r = params.z20, params.C, params.t0, params.r
     chi = make_bump(r)
-    if radius is None:
-        radius = max(0.75, abs(z20) + 2 * r + 0.1)
 
     def q(w):
         num = np.real(w) + C * np.imag(w)
@@ -73,10 +71,9 @@ def build(params: CounterexampleParams, radius: float | None = None) -> SmoothGe
 
     return SmoothGerm(
         id="counterexample",
-        radius=radius,
+        radius=max(DEFAULT_RADIUS, abs(z20) + 2 * r + 0.1),
         eval_fn=eval_fn,
         wirt_fn=wirt_fn,
-        flat_at_origin=True,
     )
 
 
@@ -101,8 +98,6 @@ def verify_disc(model: ModelSpec, params: CounterexampleParams, z1_of_t, t_grid)
     """max |rho(gamma(t))| for gamma(t) = (i t0 - t0 P(z20) + z1(t), z20 + z1(t))."""
     if model.family != ONE_NONMINIMAL:
         raise ParameterError("the disc construction lives on the one-nonminimal model")
-    if isinstance(z1_of_t, str):
-        z1_of_t = DISC_CHOICES[z1_of_t]
     t = np.asarray(list(t_grid), dtype=complex)
     z1t = np.asarray(z1_of_t(t), dtype=complex)
     if np.any(np.abs(z1t) >= params.r):
@@ -113,18 +108,18 @@ def verify_disc(model: ModelSpec, params: CounterexampleParams, z1_of_t, t_grid)
     return float(np.max(np.abs(rho(model, g1, g2))))
 
 
-def certificate(params: CounterexampleParams, n_increment: int = 100, n_disc: int = 64) -> dict:
+def certificate(params: CounterexampleParams) -> dict:
     """JSON-ready certificate for the strict-inclusion witness."""
     germ = build(params)
     model = ModelSpec(family=ONE_NONMINIMAL, germ=germ)
 
     rng = np.random.default_rng(20230817)
-    t = (0.95 * params.r) * np.sqrt(rng.uniform(0, 1, n_increment)) * np.exp(
-        2j * np.pi * rng.uniform(0, 1, n_increment)
+    t = (0.95 * params.r) * np.sqrt(rng.uniform(0, 1, 100)) * np.exp(
+        2j * np.pi * rng.uniform(0, 1, 100)
     )
     inc_dev = verify_increment_identity(germ, params, t)
 
-    s = np.linspace(-0.45 * params.r, 0.45 * params.r, n_disc)
+    s = np.linspace(-0.45 * params.r, 0.45 * params.r, 64)
     tgrid = s + 0.3j * s
     disc = {
         name: verify_disc(model, params, fn, tgrid) for name, fn in DISC_CHOICES.items()

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .models import ModelSpec, rho_gradient, surface_point
+from .models import ModelSpec, surface_frame
 
 Coeffs = dict[tuple[int, int], complex]
 
@@ -56,14 +56,6 @@ class VectorFieldPoly:
             abs(v) for v in self.coeffs2.values()
         ]
         return max(vals, default=0.0)
-
-    def coefficient_norm(self) -> float:
-        return float(
-            np.sqrt(
-                sum(abs(v) ** 2 for v in self.coeffs1.values())
-                + sum(abs(v) ** 2 for v in self.coeffs2.values())
-            )
-        )
 
     def to_records(self) -> list[dict]:
         recs = []
@@ -148,9 +140,7 @@ def tangency_residual(model: ModelSpec, f: VectorFieldPoly, t, z2):
     Linear over R in the field coefficients; vanishes identically iff the
     real part of the field is tangent to the model along the sampled set.
     """
-    z1, z2c = surface_point(model, t, z2)
-    g1, g2 = rho_gradient(model, z1, z2c)
-    return residual_on_frame(f, z1, z2c, g1, g2)
+    return residual_on_frame(f, *surface_frame(model, t, z2))
 
 
 def residual_on_frame(f: VectorFieldPoly, z1, z2, g1, g2):

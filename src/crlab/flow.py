@@ -6,13 +6,14 @@ from __future__ import annotations
 
 import csv
 import itertools
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InsufficientDataError, ParameterError
 from .fields import VectorFieldPoly
-from .germs import SmoothGerm
+from .germs import DEFAULT_RADIUS, SmoothGerm
 from .models import ModelSpec, rho
 
 UNDERFLOW_FLOOR = 1e-290
@@ -20,6 +21,14 @@ ORIGIN_RADIUS = 1e-12
 # Right-hand-side evaluations one integration may make.  solve_ivp has no
 # step budget, and its run time grows with the size of the right-hand side.
 MAX_RHS_EVALS = 200_000
+# Samples per trajectory, equispaced over the time span.
+N_SAMPLES = 257
+# Below this tol scipy raises rtol to it and warns.
+TOL_MIN = 100 * np.finfo(float).eps
+# A state and right-hand side whose absolute values sum to more than this
+# many atol end the integration: scipy's step-size and error norms square
+# them over atol, which must not overflow.
+OVERFLOW_LIMIT = 1e150
 
 STATUS_OK = "ok"
 STATUS_LEFT_DOMAIN = "left-domain"
@@ -72,38 +81,45 @@ def _circle_event(i: int, radius: float, direction: int):
     return event
 
 
-def _solve(rhs, t_span, y0, tol, n_samples, events):
-    """RK45 on ``t_span`` sampled at ``n_samples`` equispaced times."""
+def _solve(rhs, t_span, y0, tol, events):
+    """RK45 on ``t_span`` sampled at ``N_SAMPLES`` equispaced times."""
     # Imported here: scipy.integrate is most of `import crlab`'s cost.
     from scipy.integrate import solve_ivp
 
-    if not (1e-14 < tol < 1e-2):
-        raise ParameterError("tol must lie in (1e-14, 1e-2)")
+    if not (TOL_MIN <= tol < 1e-2):
+        raise ParameterError(f"tol must lie in [{TOL_MIN:.3g}, 1e-2)")
     if not np.all(np.isfinite(t_span)):
         raise ParameterError("t_span must be finite")
+    t_eval = np.linspace(t_span[0], t_span[1], N_SAMPLES)
+    steps = np.diff(t_eval)
+    if not (np.all(steps > 0) or np.all(steps < 0)):
+        raise ParameterError(f"t_span is too short for {N_SAMPLES} distinct sample times")
     atol = tol * 1e-2
-    # solve_ivp never returns when the first step size comes out NaN: its
-    # step heuristic takes the norm of the right-hand side over a scale of at
-    # least atol, which must not overflow.
-    with np.errstate(over="ignore"):
-        scaled = np.asarray(rhs(t_span[0], y0)) / atol
-        if not np.isfinite(np.dot(scaled, scaled)):
-            raise ParameterError(
-                "the right-hand side at the initial state is not finite or too large"
-            )
+    limit = OVERFLOW_LIMIT * atol
     evals = itertools.count(1)
 
-    def budgeted_rhs(t, y):
-        if next(evals) > MAX_RHS_EVALS:
+    def checked_rhs(t, y):
+        n = next(evals)
+        if n > MAX_RHS_EVALS:
             raise ParameterError(
                 f"integration needs more than {MAX_RHS_EVALS} right-hand-side "
                 "evaluations; the field is too large for t_span and tol"
             )
-        return rhs(t, y)
+        y = y.tolist()  # rhs reads floats from a list faster than from numpy
+        try:
+            dy = rhs(t, y)
+        except OverflowError:  # a Python complex power past the float range
+            dy = [math.inf]
+        # sum, unlike max, passes a NaN on.  solve_ivp's first call is at the
+        # start state; past the limit there its first step size comes out NaN
+        # and it never returns.
+        if not sum(map(abs, y + dy)) <= limit:
+            where = "the initial state" if n == 1 else f"t = {t:.6g}"
+            raise ParameterError(f"the state or right-hand side overflows at {where}")
+        return dy
 
-    t_eval = np.linspace(t_span[0], t_span[1], n_samples)
     sol = solve_ivp(
-        budgeted_rhs, t_span, y0, method="RK45", rtol=tol, atol=atol,
+        checked_rhs, t_span, y0, method="RK45", rtol=tol, atol=atol,
         t_eval=t_eval, events=events,
     )
     if sol.status == -1:
@@ -117,7 +133,6 @@ def integrate_field(
     t_span,
     tol: float = 1e-10,
     model: ModelSpec | None = None,
-    n_samples: int = 257,
 ) -> FlowTrajectory:
     """Adaptive embedded RK45 integration of (z1, z2)' = (h1, h2).
 
@@ -133,13 +148,13 @@ def integrate_field(
         return [h1.real, h1.imag, h2.real, h2.imag]
 
     events = None if model is None else [_circle_event(2, model.germ.radius, 1)]
-    sol = _solve(rhs, t_span, y0, tol, n_samples, events)
+    sol = _solve(rhs, t_span, y0, tol, events)
     states = sol.y[0] + 1j * sol.y[1]
     states = np.column_stack([states, sol.y[2] + 1j * sol.y[3]])
     times = sol.t
     status = STATUS_LEFT_DOMAIN if sol.status == 1 else STATUS_OK
     rr = None
-    if model is not None and len(times):
+    if model is not None:
         rr = np.asarray(rho(model, states[:, 0], states[:, 1]), dtype=float)
     return FlowTrajectory(times=times, states=states, status=status, rho_residuals=rr)
 
@@ -151,13 +166,11 @@ def characteristic_flow(
     z0: complex,
     t_span,
     tol: float = 1e-10,
-    domain_radius: float = 0.75,
-    n_samples: int = 257,
 ) -> FlowTrajectory:
     """Scalar characteristic ODE gamma' = b gamma^l (1 + g0(gamma)).
 
     Stops with status "reached-origin" when |gamma| < 1e-12 and
-    "left-domain" when |gamma| > domain_radius.
+    "left-domain" when |gamma| > DEFAULT_RADIUS, the catalog germs' disk.
     """
     if l < 0:
         raise ParameterError("l must be a non-negative integer")
@@ -176,8 +189,8 @@ def characteristic_flow(
         d = b * g**l * (1.0 + g0(g))
         return [d.real, d.imag]
 
-    events = [_circle_event(0, ORIGIN_RADIUS, -1), _circle_event(0, domain_radius, 1)]
-    sol = _solve(rhs, t_span, [z0.real, z0.imag], tol, n_samples, events)
+    events = [_circle_event(0, ORIGIN_RADIUS, -1), _circle_event(0, DEFAULT_RADIUS, 1)]
+    sol = _solve(rhs, t_span, [z0.real, z0.imag], tol, events)
     status = STATUS_OK
     if sol.status == 1:
         hit_origin = len(sol.t_events[0]) > 0

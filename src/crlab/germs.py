@@ -35,9 +35,6 @@ class SmoothGerm:
     radius: float
     eval_fn: Callable = field(repr=False)
     wirt_fn: Callable = field(repr=False)
-    flat_at_origin: bool = False
-    tubular: bool = False
-    rotational: bool = False
 
     def __call__(self, z):
         return self.eval_fn(np.asarray(z, dtype=complex)) if np.ndim(z) else float(
@@ -109,8 +106,12 @@ def _phi_prime(s):
 
 
 def make_bump(r: float) -> BumpFunction:
-    if r <= 0:
-        raise ParameterError("bump inner radius must be positive")
+    # At |z| = 1.5 r both mollifier legs are exp(-2/r); once that underflows
+    # the cut-off is 0/0 there.
+    if not (r > 0 and math.exp(-2.0 / r) > 0.0):
+        raise ParameterError(
+            "bump inner radius must exceed 0.0026841, where exp(-2/r) underflows to 0"
+        )
     return BumpFunction(inner=float(r))
 
 
@@ -179,41 +180,33 @@ def _control_wirt(z, a):
     return np.conj(np.asarray(z, dtype=complex))
 
 
-# id -> (P(z, a), dP/dz(z, a), flags); zero and control ignore a.
+# id -> (P(z, a), dP/dz(z, a)); zero and control ignore a.
 _CATALOG = {
-    "p1": (_p1_eval, _p1_wirt, dict(flat_at_origin=True, rotational=True)),
-    "p2": (_p2_eval, _p2_wirt, dict(flat_at_origin=True)),
-    "p3": (_p3_eval, _p3_wirt, dict(flat_at_origin=True, tubular=True)),
-    "zero": (_zero_eval, _zero_wirt, dict(flat_at_origin=True, tubular=True, rotational=True)),
-    "control": (_control_eval, _control_wirt, dict(rotational=True)),
+    "p1": (_p1_eval, _p1_wirt),
+    "p2": (_p2_eval, _p2_wirt),
+    "p3": (_p3_eval, _p3_wirt),
+    "zero": (_zero_eval, _zero_wirt),
+    "control": (_control_eval, _control_wirt),
 }
 
 CATALOG_IDS = (*_CATALOG, "counterexample")
 
 
-def make_catalog_germ(kind: str, a: float = 1.0, radius: float = DEFAULT_RADIUS) -> SmoothGerm:
-    """Build one of the catalog germs.  ``a`` is the flatness exponent."""
+def get_germ(germ_id: str, a: float = 1.0) -> SmoothGerm:
+    """Catalog germ by id.  ``a`` is the flatness exponent."""
+    if germ_id not in CATALOG_IDS:
+        raise ParameterError(f"unknown germ id {germ_id!r}; known: {CATALOG_IDS}")
     if not (math.isfinite(a) and a > 0):
         raise ParameterError("exponent a must be finite and positive")
-    key = kind.lower()
-    if key == "counterexample":
+    if germ_id == "counterexample":
         from .counterexample import CounterexampleParams, build
 
         return build(CounterexampleParams())
-    if key not in _CATALOG:
-        raise ParameterError(f"unknown germ kind {kind!r}")
-    ev, wirt, flags = _CATALOG[key]
+    ev, wirt = _CATALOG[germ_id]
     return SmoothGerm(
-        id=key, radius=radius,
-        eval_fn=lambda z: ev(z, a), wirt_fn=lambda z: wirt(z, a), **flags,
+        id=germ_id, radius=DEFAULT_RADIUS,
+        eval_fn=lambda z: ev(z, a), wirt_fn=lambda z: wirt(z, a),
     )
-
-
-def get_germ(germ_id: str, a: float = 1.0) -> SmoothGerm:
-    """Catalog lookup by string id (CLI entry point)."""
-    if germ_id not in CATALOG_IDS:
-        raise ParameterError(f"unknown germ id {germ_id!r}; known: {CATALOG_IDS}")
-    return make_catalog_germ(germ_id, a=a)
 
 
 def wirtinger_fd(germ: SmoothGerm, z: complex, h: float = 1e-5) -> complex:

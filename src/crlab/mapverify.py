@@ -170,13 +170,13 @@ def check_modulus_derivative(g2_coeffs) -> float:
     return abs(abs(complex(coeffs[1])) - 1.0)
 
 
-def check_symmetries(germ: SmoothGerm, shells=(0.15, 0.3, 0.45, 0.6), n_angles: int = 64):
+def check_symmetries(germ: SmoothGerm):
     """rot_defect = max over shells of (max - min of P on the shell);
     parity_defect = max |P(z) - P(-z)| over the shell points."""
-    angles = 2 * np.pi * np.arange(n_angles) / n_angles
+    angles = 2 * np.pi * np.arange(64) / 64
     rot_defect = 0.0
     parity_defect = 0.0
-    for r in shells:
+    for r in (0.15, 0.3, 0.45, 0.6):
         z = r * np.exp(1j * angles)
         vals = np.asarray(germ(z), dtype=float)
         rot_defect = max(rot_defect, float(vals.max() - vals.min()))
@@ -186,15 +186,14 @@ def check_symmetries(germ: SmoothGerm, shells=(0.15, 0.3, 0.45, 0.6), n_angles: 
     return rot_defect, parity_defect
 
 
-def verdict_report(model: ModelSpec, mp, grid, g2_coeffs=None) -> dict:
+def verdict_report(model: ModelSpec, mp, grid) -> dict:
     """JSON-ready verdict for one map candidate."""
     out: dict = {"map": repr(mp), "model": model.describe()}
     resid = invariance_residual(model, mp, grid)
     out["residual"] = resid
     out["verdict"] = "pass" if resid <= 1e-12 else "fail"
-    if g2_coeffs is None and hasattr(mp, "g2_coeffs"):
+    if hasattr(mp, "g2_coeffs"):
         g2_coeffs = mp.g2_coeffs()
-    if g2_coeffs is not None:
         out["modulus_defect"] = check_modulus_derivative(g2_coeffs)
         sample = [0.05 + 0.3 * np.exp(2j * np.pi * q / 40) for q in range(40)]
         sup_diff, delta_hat = check_reparam(model.germ, g2_coeffs, sample)

@@ -44,10 +44,6 @@ class ModelSpec:
         if not (np.isfinite(self.t_bound) and self.t_bound > 0):
             raise ParameterError("t_bound must be finite and positive")
 
-    @property
-    def z2_bound(self) -> float:
-        return self.germ.radius
-
     def describe(self) -> dict:
         d = {"family": self.family, "germ": self.germ.id, "t_bound": self.t_bound}
         if self.family == M_NONMINIMAL:
@@ -99,6 +95,13 @@ def rho_gradient(model: ModelSpec, z1, z2):
         g1 = 0.5 * np.ones_like(np.real(z1)) + 0j if np.ndim(z1) else 0.5 + 0j
         g2 = pw
     return g1, g2
+
+
+def surface_frame(model: ModelSpec, t, z2):
+    """Surface points (z1, z2) at (t, z2) and the rho gradient (g1, g2) there."""
+    z1, z2c = surface_point(model, t, z2)
+    g1, g2 = rho_gradient(model, z1, z2c)
+    return z1, z2c, g1, g2
 
 
 def _check_t(model: ModelSpec, t):

@@ -64,8 +64,9 @@ def vanishing_order(
 
     angles = 2 * np.pi * np.arange(n_angles) / n_angles
     offsets = np.exp(1j * angles)
-    p0 = germ(z)
-    diffs = np.max(np.abs(germ(z + radii[:, None] * offsets) - p0), axis=1)
+    # One germ call: the centre z first, then the radius x angle ring.
+    vals = germ(np.concatenate(([z], (z + radii[:, None] * offsets).ravel())))
+    diffs = np.max(np.abs(vals[1:].reshape(len(radii), n_angles) - vals[0]), axis=1)
 
     positive = diffs > 0.0
     if not positive.any():

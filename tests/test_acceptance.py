@@ -105,10 +105,10 @@ def test_criterion_04_higher_order_family_collapses():
     p = np.asarray(model.germ(Z), dtype=float)
 
     f1 = monomial_field(1, 1, 0, 1.0)
-    r1 = validation_residual(model, f1, vg)
+    r1 = validation_residual(model, f1)
     exp1 = float(np.max(np.abs(T**2 * p / 2.0)))
     f2 = monomial_field(1, 2, 0, 1.0)
-    r2 = validation_residual(model, f2, vg)
+    r2 = validation_residual(model, f2)
     exp2 = float(np.max(np.abs(T**5 * p**3)))
 
     resid_ok = (

@@ -149,6 +149,15 @@ def test_non_finite_or_out_of_range_input_is_invalid(args, tmp_path):
         ["flow", "--germ", "p1", "--beta", "1e150"],
         # Below the roundoff floor the null space came out empty, "confident".
         ["solve", "--germ", "p1", "--tau", "1e-300"],
+        # The state overflowed: a complex-power OverflowError traceback.
+        ["flow", "--alpha", "1e3"],
+        # An empty span gave no samples; a subnormal one unsorted samples.
+        ["flow", "--t-end", "0"],
+        ["flow", "--t-end", "5e-324"],
+        # scipy raised rtol to 100 eps with a UserWarning.
+        ["flow", "--tol", "1.1e-14"],
+        # The bump's mollifier legs both underflowed: NaN in the germ.
+        ["counterexample", "--r", "0.001"],
     ],
 )
 def test_out_of_range_input_exits_2_in_a_subprocess(args, tmp_path):
@@ -159,6 +168,7 @@ def test_out_of_range_input_exits_2_in_a_subprocess(args, tmp_path):
     )
     assert out.returncode == 2
     assert out.stderr.startswith("error: ")
+    assert "Traceback" not in out.stderr and "Warning" not in out.stderr
 
 
 @pytest.mark.parametrize("tail", [[], ["--out-dir", "x"]])

@@ -74,8 +74,8 @@ def test_increment_samples_must_stay_in_plateau():
 def test_analytic_discs_lie_on_surface():
     s = np.linspace(-0.04, 0.04, 41)
     tgrid = s + 0.3j * s
-    assert verify_disc(MODEL, PARAMS, "t", tgrid) < 1e-13
-    assert verify_disc(MODEL, PARAMS, "t^2", tgrid) < 1e-13
+    assert verify_disc(MODEL, PARAMS, lambda t: t, tgrid) < 1e-13
+    assert verify_disc(MODEL, PARAMS, lambda t: t**2, tgrid) < 1e-13
     assert verify_disc(MODEL, PARAMS, lambda t: 0.5 * t, tgrid) < 1e-13
 
 

@@ -110,13 +110,15 @@ def test_parameter_validation():
         characteristic_flow(1.0, 1, None, 0.0, (0.0, 1.0))
     with pytest.raises(ParameterError):
         characteristic_flow(1.0, 1, None, 0.3, (0.0, 1.0), tol=1.0)
+    with pytest.raises(ParameterError, match="tol must lie in"):
+        characteristic_flow(1.0, 1, None, 0.3, (0.0, 1.0), tol=1.1e-14)
     with pytest.raises(ParameterError):
         trajectory_from_samples([0.0, 0.0], [0.1, 0.2])
     with pytest.raises(ParameterError):
         blowup_time_estimate(trajectory_from_samples([0, 1], [0.1, 0.2]), 1.0, 1)
 
 
-@pytest.mark.parametrize("t_end", [float("nan"), float("inf")])
+@pytest.mark.parametrize("t_end", [float("nan"), float("inf"), 0.0, 5e-324])
 def test_non_finite_time_span_rejected(t_end):
     with pytest.raises(ParameterError):
         characteristic_flow(1j, 1, None, 0.3, (0.0, t_end))
@@ -149,3 +151,12 @@ def test_start_state_whose_scaled_norm_overflows_is_rejected():
     # heuristic forms, is not.
     with pytest.raises(ParameterError, match="at the initial state"):
         integrate_field(linear_diag_field(1.0, 1e150), (0.1, 0.3), (0.0, 1.0))
+
+
+def test_state_overflow_ends_the_integration():
+    # z1 = 0.1 e^(1000 t) passes the overflow limit near t = 0.31.
+    with pytest.raises(ParameterError, match=r"overflows at t = 0\.31"):
+        integrate_field(linear_diag_field(1e3, 2.0), (0.1, 0.3), (0.0, 5.0))
+    # gamma^400 overflows a Python complex power at the start state.
+    with pytest.raises(ParameterError, match="at the initial state"):
+        characteristic_flow(1.0, 400, None, 6.0, (0.0, 1.0))

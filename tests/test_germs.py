@@ -6,7 +6,6 @@ from crlab import (
     ParameterError,
     get_germ,
     make_bump,
-    make_catalog_germ,
     wirtinger_fd,
 )
 
@@ -63,8 +62,8 @@ def test_p1_rotational_symmetry_exact():
 
 
 def test_exponent_parameter_changes_flatness():
-    g1 = make_catalog_germ("p1", a=1.0)
-    g2 = make_catalog_germ("p1", a=2.0)
+    g1 = get_germ("p1", a=1.0)
+    g2 = get_germ("p1", a=2.0)
     z = 0.3
     assert g1(z) == pytest.approx(np.exp(-1 / 0.3), rel=1e-15)
     assert g2(z) == pytest.approx(np.exp(-1 / 0.09), rel=1e-15)
@@ -112,16 +111,19 @@ def test_domain_check():
 
 def test_invalid_parameters_rejected():
     with pytest.raises(ParameterError):
-        make_catalog_germ("p1", a=0.0)
-    with pytest.raises(ParameterError):
-        make_catalog_germ("nope")
+        get_germ("p1", a=0.0)
     with pytest.raises(ParameterError):
         get_germ("nope")
     with pytest.raises(ParameterError):
         make_bump(-0.1)
+    # exp(-2/r) underflows: the cut-off would be 0/0 at |z| = 1.5 r.
+    for r in (0.002, 0.0026840837970027224):
+        with pytest.raises(ParameterError, match="0.0026841"):
+            make_bump(r)
+    assert make_bump(0.002684083797002723)(1.5 * 0.002684083797002723) == 0.5
 
 
 @pytest.mark.parametrize("a", [float("nan"), float("inf"), 0.0, -1.0])
 def test_catalog_germ_rejects_bad_exponent(a):
     with pytest.raises(ParameterError):
-        make_catalog_germ("p1", a=a)
+        get_germ("p1", a=a)

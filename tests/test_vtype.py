@@ -22,7 +22,6 @@ def power_germ(k: int) -> SmoothGerm:
         radius=0.75,
         eval_fn=lambda z, k=k: np.abs(z) ** (2 * k),
         wirt_fn=lambda z, k=k: k * np.abs(z) ** (2 * (k - 1)) * np.conj(z),
-        rotational=True,
     )
 
 
