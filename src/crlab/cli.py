@@ -88,6 +88,8 @@ def cmd_flow(args) -> int:
         "config": _resolved_config(args),
         "status": traj.status,
         "n_samples": len(traj.times),
+        "nfev": traj.nfev,
+        "accepted_steps": traj.accepted_steps,
         "max_abs_rho": max_rho,
     }
     _write_json(out.with_suffix(".json"), summary)

@@ -77,7 +77,16 @@ class BumpFunction:
         b = _phi(s - self.inner)
         da = -_phi_prime(2.0 * self.inner - s)
         db = _phi_prime(s - self.inner)
-        out = (da * b - a * db) / (a + b) ** 2
+        with np.errstate(**_quiet):
+            out = np.asarray((da * b - a * db) / (a + b) ** 2)
+            bad = ~np.isfinite(out)
+            if np.any(bad):
+                # (a + b)**2 underflowed for a small inner radius.  With
+                # L = 1/(2r - s) - 1/(s - r), e = exp(L) = b/a and
+                # L' = 1/(2r - s)**2 + 1/(s - r)**2 it is -L'/(e + 2 + 1/e).
+                u, v = 2.0 * self.inner - s[bad], s[bad] - self.inner
+                e = np.exp(1.0 / u - 1.0 / v)
+                out[bad] = -(1.0 / u**2 + 1.0 / v**2) / (e + 2.0 + 1.0 / e)
         return out if out.ndim else float(out)
 
     def wirt(self, z):

@@ -1,3 +1,8 @@
+import math
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -16,6 +21,7 @@ from crlab import (
     surface_point,
     trajectory_from_samples,
 )
+from crlab.germs import DEFAULT_RADIUS
 
 
 def test_linear_field_matches_exponential_solution():
@@ -160,3 +166,129 @@ def test_state_overflow_ends_the_integration():
     # gamma^400 overflows a Python complex power at the start state.
     with pytest.raises(ParameterError, match="at the initial state"):
         characteristic_flow(1.0, 400, None, 6.0, (0.0, 1.0))
+
+
+def _reference_flows():
+    """The reference flows with the right-hand-side evaluations each takes
+    (the count scipy's RK45 takes on them, too)."""
+    from crlab import flow
+
+    model = ModelSpec(ONE_NONMINIMAL, get_germ("p1"))
+    z0 = surface_point(model, 0.1, 0.5 + 0j)
+    f = linear_diag_field(1.0, 2.0)
+    # y' = 1 from t = 0.5 on: steps across the jump are rejected, and the
+    # step after a rejection must not grow.
+    jump = lambda t, y: [1.0 if t >= 0.5 else 0.0, 0.0]  # noqa: E731
+    return {
+        "criterion-06": (lambda: integrate_field(f, z0, (0.0, 5.0), tol=1e-10, model=model), 1772),
+        "rotation": (lambda: characteristic_flow(1j, 1, None, 0.3, (0.0, 5.0), tol=1e-10), 944),
+        "blow-up": (lambda: characteristic_flow(1.0, 2, None, 0.3, (0.0, 30.0), tol=1e-12), 566),
+        "decay": (lambda: characteristic_flow(-1.0, 1, None, 0.3, (0.0, 80.0), tol=1e-10), 1268),
+        "jump": (lambda: flow._solve(jump, (0.0, 1.0), [0.0, 1.0], 1e-8, [])[0], 356),
+    }
+
+
+REFERENCE_FLOWS = ["criterion-06", "rotation", "blow-up", "decay", "jump"]
+
+
+@pytest.fixture
+def solve_calls(monkeypatch):
+    """Records the arguments and result of every ``flow._solve`` call."""
+    from crlab import flow
+
+    calls = []
+    solve = flow._solve
+
+    def recording_solve(*args):
+        result = solve(*args)
+        calls.append((args, result))
+        return result
+
+    monkeypatch.setattr(flow, "_solve", recording_solve)
+    return calls
+
+
+@pytest.mark.parametrize("name", REFERENCE_FLOWS)
+def test_reference_flows_take_pinned_rhs_evaluations(name):
+    run, nfev = _reference_flows()[name]
+    traj = run()
+    assert traj.nfev == nfev
+    # one evaluation at the start, one for the first step size, six a step
+    assert 0 < 6 * traj.accepted_steps <= traj.nfev - 2
+    assert (traj.nfev - 2) % 6 == 0
+
+
+def test_terminal_event_times_match_closed_forms(solve_calls, monkeypatch):
+    from crlab import flow
+
+    # gamma' = gamma^2 from x0: gamma = x0/(1 - x0 t) leaves |gamma| = R at
+    # t = 1/x0 - 1/R.
+    traj = characteristic_flow(1.0, 2, None, 0.3, (0.0, 30.0), tol=1e-12)
+    assert traj.status == "left-domain"
+    t_end = solve_calls[-1][1][1]
+    assert abs(t_end - (1 / 0.3 - 1 / DEFAULT_RADIUS)) < 1e-9
+    # gamma = 0.3 e^(-t) reaches radius r0 at t = ln(0.3 / r0).  At the
+    # default r0 = 1e-12, atol = tol/100 is as large as gamma itself and
+    # the time is good to about 0.1 only, so the check uses r0 = 1e-3.
+    monkeypatch.setattr(flow, "ORIGIN_RADIUS", 1e-3)
+    traj = characteristic_flow(-1.0, 1, None, 0.3, (0.0, 80.0), tol=1e-12)
+    assert traj.status == "reached-origin"
+    t_end = solve_calls[-1][1][1]
+    assert abs(t_end - math.log(0.3 / 1e-3)) < 1e-9
+
+
+@pytest.mark.parametrize("name", REFERENCE_FLOWS)
+def test_reference_flows_agree_with_scipy_rk45(name, solve_calls):
+    integrate = pytest.importorskip("scipy.integrate")
+    from crlab import flow
+
+    run, _ = _reference_flows()[name]
+    traj = run()
+    (rhs, t_span, y0, tol, events), (_, t_end) = solve_calls[-1]
+
+    def scipy_event(event):
+        wrapped = lambda t, y: event(t, y)  # noqa: E731
+        wrapped.terminal, wrapped.direction = True, event.direction
+        return wrapped
+
+    sol = integrate.solve_ivp(
+        lambda t, y: rhs(t, y.tolist()), t_span, y0, method="RK45", rtol=tol,
+        atol=tol * 1e-2, t_eval=np.linspace(t_span[0], t_span[1], flow.N_SAMPLES),
+        events=[scipy_event(e) for e in events] or None,
+    )
+    assert sol.nfev == traj.nfev
+    assert np.array_equal(sol.t, traj.times)
+    states = (sol.y[0::2] + 1j * sol.y[1::2]).T
+    assert np.max(np.abs(states.reshape(traj.states.shape) - traj.states)) < 1e-12
+    # The end times agree to within the time the state takes to move 1e-12:
+    # the decay flow's event sits at |gamma| = atol, where the two error
+    # norms differ in their leading digits and so do the last step sizes.
+    fired = [te[0] for te in (sol.t_events or []) if len(te)]
+    speed = np.max(np.abs(rhs(t_end, sol.y[:, -1].tolist())))
+    assert abs((fired[0] if fired else t_span[1]) - t_end) * speed < 1e-12
+
+
+def test_flows_run_with_scipy_blocked(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from crlab import characteristic_flow, cli\n"
+        "assert cli.main(['flow', '--out-dir', sys.argv[1]]) == 0\n"
+        "print(characteristic_flow(1j, 1, None, 0.3, (0.0, 5.0)).status)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path)], cwd=src, capture_output=True,
+        text=True, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "ok"
+    assert (tmp_path / "trajectory.json").exists()
+
+
+def test_step_size_below_roundoff_fails():
+    from crlab import flow
+
+    # y' = 1/(t - 0.3): the local error stays O(1) however small the step.
+    with pytest.raises(ParameterError, match="Required step size is less than spacing"):
+        flow._solve(lambda t, y: [1.0 / (t - 0.3), 0.0], (0.0, 1.0), [0.0, 0.0], 1e-10, [])

@@ -127,3 +127,14 @@ def test_invalid_parameters_rejected():
 def test_catalog_germ_rejects_bad_exponent(a):
     with pytest.raises(ParameterError):
         get_germ("p1", a=a)
+
+
+@pytest.mark.parametrize("r", [0.0027, 0.005, 0.0053])
+def test_bump_derivatives_are_finite_for_small_inner_radii(r):
+    # (a + b)**2 underflows to 0 on most of (r, 2r) for these radii.
+    chi = make_bump(r)
+    s = np.linspace(r, 2 * r, 10_001)
+    d = chi.radial_derivative(s)
+    assert np.all(np.isfinite(d))
+    assert np.all(d <= 0.0)
+    assert np.all(np.isfinite(chi.wirt(s.astype(complex))))
