@@ -21,6 +21,7 @@ from crlab import (
     surface_point,
     trajectory_from_samples,
 )
+from crlab import flow
 from crlab.germs import DEFAULT_RADIUS
 
 
@@ -171,8 +172,6 @@ def test_state_overflow_ends_the_integration():
 def _reference_flows():
     """The reference flows with the right-hand-side evaluations each takes
     (the count scipy's RK45 takes on them, too)."""
-    from crlab import flow
-
     model = ModelSpec(ONE_NONMINIMAL, get_germ("p1"))
     z0 = surface_point(model, 0.1, 0.5 + 0j)
     f = linear_diag_field(1.0, 2.0)
@@ -194,8 +193,6 @@ REFERENCE_FLOWS = ["criterion-06", "rotation", "blow-up", "decay", "jump"]
 @pytest.fixture
 def solve_calls(monkeypatch):
     """Records the arguments and result of every ``flow._solve`` call."""
-    from crlab import flow
-
     calls = []
     solve = flow._solve
 
@@ -219,8 +216,6 @@ def test_reference_flows_take_pinned_rhs_evaluations(name):
 
 
 def test_terminal_event_times_match_closed_forms(solve_calls, monkeypatch):
-    from crlab import flow
-
     # gamma' = gamma^2 from x0: gamma = x0/(1 - x0 t) leaves |gamma| = R at
     # t = 1/x0 - 1/R.
     traj = characteristic_flow(1.0, 2, None, 0.3, (0.0, 30.0), tol=1e-12)
@@ -240,8 +235,6 @@ def test_terminal_event_times_match_closed_forms(solve_calls, monkeypatch):
 @pytest.mark.parametrize("name", REFERENCE_FLOWS)
 def test_reference_flows_agree_with_scipy_rk45(name, solve_calls):
     integrate = pytest.importorskip("scipy.integrate")
-    from crlab import flow
-
     run, _ = _reference_flows()[name]
     traj = run()
     (rhs, t_span, y0, tol, events), (_, t_end) = solve_calls[-1]
@@ -287,8 +280,6 @@ def test_flows_run_with_scipy_blocked(tmp_path):
 
 
 def test_step_size_below_roundoff_fails():
-    from crlab import flow
-
     # y' = 1/(t - 0.3): the local error stays O(1) however small the step.
     with pytest.raises(ParameterError, match="Required step size is less than spacing"):
         flow._solve(lambda t, y: [1.0 / (t - 0.3), 0.0], (0.0, 1.0), [0.0, 0.0], 1e-10, [])
