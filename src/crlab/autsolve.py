@@ -136,6 +136,13 @@ def assemble(
         raise ParameterError("jet order N must be >= 1")
     if grid is None:
         grid = default_grid()
+    if not np.any(model.germ(np.asarray(grid.z2_values))):
+        # P = 0 makes the model the Levi-flat Re z1 = 0 (or Im z1 = 0), whose
+        # algebra is infinite-dimensional: every jet order finds a null space.
+        raise ParameterError(
+            "the solver requires P not identically zero on a neighborhood of 0; "
+            f"germ '{model.germ.id}' is 0 at every z2 of the grid"
+        )
 
     monos = _monomials(N, include_origin=not vanish_at_origin)
     columns: tuple[Column, ...] = tuple((comp, j, k) for comp in (1, 2) for (j, k) in monos)

@@ -21,12 +21,14 @@ from .fields import linear_diag_field
 from .flow import integrate_field
 from .germs import CATALOG_IDS, get_germ
 from .mapverify import Negate, Rotate, Scale, TranslateIm, verdict_report
-from .models import M_NONMINIMAL, ModelSpec, ONE_NONMINIMAL, surface_point
+from .models import FAMILIES, M_NONMINIMAL, ModelSpec, ONE_NONMINIMAL, surface_point
 from .vtype import write_scan_csv
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INVALID = 2
+
+EXAMPLES = ("strict-inclusion", "rotational", "asymmetric", "tubular", "higher-order")
 
 
 def _out_dir(args) -> Path:
@@ -45,32 +47,24 @@ def _resolved_config(args) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
+def _write_report(args, default_name: str, payload: dict) -> Path:
+    out = _out_dir(args) / (args.out or default_name)
+    _write_json(out, payload)
+    return out
+
+
 def _make_model(args) -> ModelSpec:
-    germ = get_germ(args.germ, a=args.a)
-    m = getattr(args, "m", None) or 1
-    family = getattr(args, "family", ONE_NONMINIMAL)
-    if family == M_NONMINIMAL and m < 2:
-        raise CrlabError("m-nonminimal family requires --m >= 2")
-    return ModelSpec(family=family, germ=germ, m=m if family == M_NONMINIMAL else 1)
-
-
-def _require_nonzero_germ(args):
-    if args.germ == "zero":
-        raise CrlabError(
-            "the solver requires P not identically zero on a neighborhood of 0 "
-            "(use a nonzero catalog germ)"
-        )
+    m = args.m if args.family == M_NONMINIMAL else 1
+    return ModelSpec(family=args.family, germ=get_germ(args.germ, a=args.a), m=m)
 
 
 def cmd_solve(args) -> int:
-    _require_nonzero_germ(args)
     model = _make_model(args)
     basis, report = solve_model(
         model, N=args.jet, tau=args.tau, vanish_at_origin=not args.allow_origin
     )
     report["config"] = _resolved_config(args)
-    out = _out_dir(args) / (args.out or "solve_report.json")
-    _write_json(out, report)
+    out = _write_report(args, "solve_report.json", report)
     print(f"dimension={basis.dimension} status={basis.status} labels={basis.labels}")
     print(f"report: {out}")
     return EXIT_OK if basis.confident else EXIT_FAIL
@@ -130,8 +124,7 @@ def cmd_verify(args) -> int:
     mp = _parse_map(args.map)
     report = verdict_report(model, mp, default_grid())
     report["config"] = _resolved_config(args)
-    out = _out_dir(args) / (args.out or "verify_verdict.json")
-    _write_json(out, report)
+    out = _write_report(args, "verify_verdict.json", report)
     print(f"residual={report['residual']:.3e} verdict={report['verdict']}")
     print(f"verdict: {out}")
     return EXIT_OK if report["verdict"] == "pass" else EXIT_FAIL
@@ -143,8 +136,7 @@ def cmd_counterexample(args) -> int:
     )
     cert = cx.certificate(params)
     cert["config"] = _resolved_config(args)
-    out = _out_dir(args) / (args.out or "counterexample_certificate.json")
-    _write_json(out, cert)
+    out = _write_report(args, "counterexample_certificate.json", cert)
     print(
         f"increment_dev={cert['increment_max_dev']:.3e} "
         f"order_at_z20={cert['order_at_z20']} verdict={cert['verdict']}"
@@ -182,30 +174,24 @@ def _run_example(which: str) -> tuple[bool, dict]:
             and fixed.labels == ["z1 dz1"]
         )
         return ok, {"without_origin_constraint": rep_free, "with_origin_constraint": rep_fixed}
-    if which == "higher-order":
-        model = ModelSpec(M_NONMINIMAL, get_germ("p1"), m=2)
-        basis, report = solve_model(model)
-        ok = basis.dimension == 1 and basis.labels == ["i z2 dz2"]
-        return ok, report
-    raise CrlabError(
-        f"unknown example id {which!r} (strict-inclusion, rotational, "
-        "asymmetric, tubular, higher-order)"
-    )
+    # higher-order
+    model = ModelSpec(M_NONMINIMAL, get_germ("p1"), m=2)
+    basis, report = solve_model(model)
+    ok = basis.dimension == 1 and basis.labels == ["i z2 dz2"]
+    return ok, report
 
 
 def cmd_examples(args) -> int:
-    which = args.which or [
-        "strict-inclusion", "rotational", "asymmetric", "tubular", "higher-order"
-    ]
     results = {}
     all_ok = True
-    for w in which:
+    for w in args.which or EXAMPLES:
         ok, report = _run_example(w)
         results[w] = {"ok": ok, "report": report}
         all_ok = all_ok and ok
         print(f"example {w}: {'pass' if ok else 'FAIL'}")
-    out = _out_dir(args) / (args.out or "examples_report.json")
-    _write_json(out, {"config": _resolved_config(args), "results": results})
+    out = _write_report(
+        args, "examples_report.json", {"config": _resolved_config(args), "results": results}
+    )
     print(f"report: {out}")
     return EXIT_OK if all_ok else EXIT_FAIL
 
@@ -235,18 +221,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="crlab", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
+    def add_output(sp):
+        sp.add_argument("--out", default=None, help="output file name")
+        sp.add_argument("--out-dir", default=None, help="output directory (or $CRLAB_OUT)")
+
     def add_common(sp, with_model=True):
         sp.add_argument("--germ", choices=CATALOG_IDS, default="p1")
         sp.add_argument("--a", type=float, default=1.0, help="flatness exponent")
         if with_model:
-            sp.add_argument(
-                "--family",
-                choices=(ONE_NONMINIMAL, M_NONMINIMAL, "rigid"),
-                default=ONE_NONMINIMAL,
-            )
+            sp.add_argument("--family", choices=FAMILIES, default=ONE_NONMINIMAL)
             sp.add_argument("--m", type=int, default=2, help="order for m-nonminimal")
-        sp.add_argument("--out", default=None, help="output file name")
-        sp.add_argument("--out-dir", default=None, help="output directory (or $CRLAB_OUT)")
+        add_output(sp)
 
     sp = sub.add_parser("solve", help="compute the infinitesimal automorphism basis")
     add_common(sp)
@@ -292,14 +277,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--C", type=float, default=0.3)
     sp.add_argument("--t0", type=float, default=0.5)
     sp.add_argument("--r", type=float, default=0.1)
-    sp.add_argument("--out", default=None)
-    sp.add_argument("--out-dir", default=None)
+    add_output(sp)
     sp.set_defaults(func=cmd_counterexample)
 
     sp = sub.add_parser("examples", help="reproduce the worked examples")
-    sp.add_argument("--which", nargs="*", default=None)
-    sp.add_argument("--out", default=None)
-    sp.add_argument("--out-dir", default=None)
+    sp.add_argument("--which", nargs="*", choices=EXAMPLES, help="default: all of them")
+    add_output(sp)
     sp.set_defaults(func=cmd_examples)
 
     return p
@@ -311,10 +294,7 @@ def main(argv=None) -> int:
         argv = _apply_config_file(argv)
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except CrlabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except (OSError, ValueError) as exc:
+    except (CrlabError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

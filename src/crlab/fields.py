@@ -4,7 +4,7 @@ pointwise tangency residual Re[rho_z1 h1 + rho_z2 h2] on a model surface."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,8 +18,8 @@ class VectorFieldPoly:
     """Sparse polynomial field: coeffs maps (j, k) -> complex coefficient
     of z1^j z2^k, one map per component."""
 
-    coeffs1: Coeffs = field(default_factory=dict)
-    coeffs2: Coeffs = field(default_factory=dict)
+    coeffs1: Coeffs
+    coeffs2: Coeffs
 
     def __post_init__(self):
         for c in (self.coeffs1, self.coeffs2):

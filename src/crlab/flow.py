@@ -39,8 +39,10 @@ class FlowTrajectory:
     times: np.ndarray
     states: np.ndarray  # complex, shape (n,) for scalar or (n, 2) for C^2
     status: str = STATUS_OK
-    rho_residuals: np.ndarray | None = None
-    u_values: np.ndarray | None = None
+    # Outputs: rho along an integrate_field flow given a model, and the
+    # log_p_diagnostic values.
+    rho_residuals: np.ndarray | None = field(default=None, init=False)
+    u_values: np.ndarray | None = field(default=None, init=False)
     # Integrator statistics, filled in by the integration.
     nfev: int = field(default=0, init=False)
     accepted_steps: int = field(default=0, init=False)
@@ -366,8 +368,11 @@ def characteristic_flow(
 ) -> FlowTrajectory:
     """Scalar characteristic ODE gamma' = b gamma^l (1 + g0(gamma)).
 
-    Stops with status "reached-origin" when |gamma| < 1e-12 and
-    "left-domain" when |gamma| > DEFAULT_RADIUS, the catalog germs' disk.
+    Stops with status "reached-origin" when |gamma| falls below
+    max(ORIGIN_RADIUS, tol), and "left-domain" when |gamma| > DEFAULT_RADIUS,
+    the catalog germs' disk.  The origin radius is at least 100 atol
+    (atol = tol/100): nearer the origin the error control no longer
+    resolves gamma and the event may never fire.
     """
     if l < 0:
         raise ParameterError("l must be a non-negative integer")
@@ -387,7 +392,7 @@ def characteristic_flow(
         return [d.real, d.imag]
 
     events = [
-        _circle_event(0, ORIGIN_RADIUS, -1, STATUS_REACHED_ORIGIN),
+        _circle_event(0, max(ORIGIN_RADIUS, tol), -1, STATUS_REACHED_ORIGIN),
         _circle_event(0, DEFAULT_RADIUS, 1, STATUS_LEFT_DOMAIN),
     ]
     traj, _ = _solve(rhs, t_span, [z0.real, z0.imag], tol, events)

@@ -48,7 +48,7 @@ class SmoothGerm:
         return complex(self.wirt_fn(complex(z)))
 
     def check_inside(self, z):
-        if np.any(np.abs(z) > self.radius * (1 + 1e-12)):
+        if not np.all(np.abs(z) <= self.radius * (1 + 1e-12)):  # NaN fails too
             raise DomainError(
                 f"point outside the domain disk of germ '{self.id}' "
                 f"(radius {self.radius})"

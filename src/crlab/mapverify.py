@@ -3,7 +3,7 @@ predicates on P (rotational symmetry, parity, reparametrization laws)."""
 
 from __future__ import annotations
 
-import math
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,8 +15,8 @@ from .models import ModelSpec, rho, surface_point
 DELTA_FIT_FLOOR = 1e-100
 
 
-def _require_finite(name: str, value: float):
-    if not math.isfinite(value):
+def _require_finite(name: str, value: complex):
+    if not cmath.isfinite(value):
         raise ParameterError(f"{name} must be finite")
 
 
@@ -78,6 +78,9 @@ class GeneralPair:
     g2: tuple
 
     def __post_init__(self):
+        _require_finite("first-component factor", self.c)
+        for v in self.g2:
+            _require_finite("g2 coefficient", v)
         if self.c == 0:
             raise DegenerateMapError("first-component factor must be nonzero real")
         if len(self.g2) == 0 or self.g2[0] != 0:
@@ -134,7 +137,7 @@ def invariance_residual(model: ModelSpec, mp, grid) -> float:
     T, Z2 = grid.samples()
     z1, z2 = surface_point(model, T, Z2)
     w1, w2 = mp.apply(z1, z2)
-    bad = np.abs(w2) > model.germ.radius * (1 + 1e-12)
+    bad = ~(np.abs(w2) <= model.germ.radius * (1 + 1e-12))  # NaN fails too
     if np.any(bad):
         i = int(np.argmax(bad))
         raise DomainError(

@@ -105,5 +105,5 @@ def surface_frame(model: ModelSpec, t, z2):
 
 
 def _check_t(model: ModelSpec, t):
-    if np.any(np.abs(t) > model.t_bound * (1 + 1e-12)):
-        raise DomainError(f"|t| exceeds the sample bound {model.t_bound}")
+    if not np.all(np.abs(t) <= model.t_bound * (1 + 1e-12)):  # NaN fails too
+        raise DomainError(f"t must be finite with |t| <= the sample bound {model.t_bound}")

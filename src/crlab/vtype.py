@@ -45,7 +45,7 @@ def vanishing_order(
 
     INFINITE is an estimator verdict, not a certificate: it fires when the
     max directional increment decays faster than |zeta|^K_max across the
-    whole radius window (or underflows everywhere).
+    whole radius window (or is exactly 0 at all radii but at most one).
     """
     if not (math.isfinite(K_max) and K_max >= 1):
         raise ParameterError("K_max must be finite and >= 1")
@@ -69,12 +69,6 @@ def vanishing_order(
     diffs = np.max(np.abs(vals[1:].reshape(len(radii), n_angles) - vals[0]), axis=1)
 
     positive = diffs > 0.0
-    if not positive.any():
-        return VanishingOrderEstimate(
-            point=z, order=None, infinite=True, slope=float("inf"),
-            r2=float("nan"), note="by-underflow",
-        )
-
     r_pos = radii[positive]
     d_pos = diffs[positive]
     if len(r_pos) < 2:
@@ -107,13 +101,10 @@ def vanishing_order(
     )
 
 
-def _scan(germ: SmoothGerm, grid, K_max: int, radii):
-    return [vanishing_order(germ, z, K_max=K_max, radii=radii) for z in grid]
-
-
-def scan_s_infinity(germ: SmoothGerm, grid, K_max: int = DEFAULT_K_MAX, radii=None):
+def scan_s_infinity(germ: SmoothGerm, grid):
     """Points of the grid flagged infinite-order (candidate S_infinity)."""
-    return [est.point for est in _scan(germ, grid, K_max, radii) if est.infinite]
+    estimates = (vanishing_order(germ, z) for z in grid)
+    return [est.point for est in estimates if est.infinite]
 
 
 def p_infinity_candidates(model: ModelSpec, s_inf, t_values):
@@ -129,8 +120,8 @@ def p_infinity_candidates(model: ModelSpec, s_inf, t_values):
     return pts
 
 
-def write_scan_csv(path, germ: SmoothGerm, grid, K_max: int = DEFAULT_K_MAX, radii=None):
-    rows = _scan(germ, grid, K_max, radii)
+def write_scan_csv(path, germ: SmoothGerm, grid, K_max: int = DEFAULT_K_MAX):
+    rows = [vanishing_order(germ, z, K_max=K_max) for z in grid]
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["re", "im", "slope", "order_or_inf", "r2", "note"])

@@ -54,6 +54,18 @@ def test_assemble_requires_oversampling():
         assemble(model, N=5, grid=tiny)
 
 
+@pytest.mark.parametrize("germ, a", [("zero", 1.0), ("p1", 20.0)])
+@pytest.mark.parametrize("family", [ONE_NONMINIMAL, M_NONMINIMAL, RIGID])
+def test_assemble_rejects_p_zero_at_every_sample(germ, a, family):
+    # P = 0 is the Levi-flat model: exp(-1/|z|^20) underflows to 0 at every
+    # sampled z2, and the solver used to report a confident dimension 45.
+    model = ModelSpec(family, get_germ(germ, a=a), m=2 if family == M_NONMINIMAL else 1)
+    with pytest.raises(ParameterError, match="not identically zero"):
+        assemble(model, N=5)
+    with pytest.raises(ParameterError, match="not identically zero"):
+        solve_model(model)
+
+
 def test_nullspace_requires_at_least_as_many_samples_as_unknowns():
     model = ModelSpec(ONE_NONMINIMAL, get_germ("p1"))
     system = assemble(model, N=3)

@@ -139,6 +139,29 @@ def test_non_finite_or_out_of_range_input_is_invalid(args, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "args, message",
+    [
+        # exp(-1/|z|^20) is 0 at every sampled z2: the Levi-flat model.
+        (["solve", "--germ", "p1", "--a", "20"], "not identically zero"),
+        (["solve", "--family", "m-nonminimal", "--m", "1"], "require integer m >= 2"),
+        (["flow", "--z2-re", "nan"], "outside the domain disk"),
+        (["flow", "--t0", "nan"], "t must be finite"),
+    ],
+)
+def test_invalid_input_message_comes_from_the_owning_rule(args, message, tmp_path, capsys):
+    assert run(args, tmp_path) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_unknown_example_id_exits_2(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["examples", "--which", "nope"], tmp_path)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice" in err and "nope" in err
+
+
+@pytest.mark.parametrize(
     "args",
     [
         # The first step size of the integrator overflowed to NaN: a hang.
@@ -149,6 +172,8 @@ def test_non_finite_or_out_of_range_input_is_invalid(args, tmp_path):
         ["flow", "--germ", "p1", "--beta", "1e150"],
         # Below the roundoff floor the null space came out empty, "confident".
         ["solve", "--germ", "p1", "--tau", "1e-300"],
+        # P underflowed to 0 at every sample: a "confident" dimension 45.
+        ["solve", "--germ", "p1", "--a", "20"],
         # The state overflowed: a complex-power OverflowError traceback.
         ["flow", "--alpha", "1e3"],
         # An empty span gave no samples; a subnormal one unsorted samples.

@@ -106,6 +106,9 @@ def test_domain_check():
     g = get_germ("p1")
     with pytest.raises(DomainError):
         g.check_inside(0.8)
+    for z in (complex("nan"), np.array([0.1, complex(0.2, float("nan"))])):
+        with pytest.raises(DomainError):
+            g.check_inside(z)
     g.check_inside(0.75)  # boundary allowed
 
 

@@ -51,9 +51,16 @@ def test_negation_preserves_even_models():
     assert invariance_residual(P2, Negate(), default_grid()) > 1e-3
 
 
+class _NanImage:
+    def apply(self, z1, z2):
+        return z1, np.full_like(z2, np.nan)
+
+
 def test_image_outside_domain_raises():
     with pytest.raises(DomainError):
         invariance_residual(P1, TranslateIm(0.3), default_grid())
+    with pytest.raises(DomainError):
+        invariance_residual(P1, _NanImage(), default_grid())
 
 
 def test_compose_order_and_simplify():
@@ -125,6 +132,20 @@ def test_verdict_report_contents():
     assert abs(rep["delta_hat"] - 1.0) < 1e-8
     bad = verdict_report(P2, Rotate(np.pi / 2), default_grid())
     assert bad["verdict"] == "fail"
+
+
+@pytest.mark.parametrize(
+    "c, g2",
+    [
+        (float("nan"), (0.0, 1.0)),  # gave a NaN residual
+        (1.0, (0.0, float("nan"))),  # gave a finite residual
+        (float("inf"), (0.0, 1.0)),  # gave a RuntimeWarning
+        (1.0, (0.0, complex(1.0, float("inf")))),
+    ],
+)
+def test_general_pair_rejects_non_finite_coefficients(c, g2):
+    with pytest.raises(ParameterError, match="must be finite"):
+        GeneralPair(c, g2)
 
 
 @pytest.mark.parametrize("cls", [Scale, Rotate, TranslateIm])

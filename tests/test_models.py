@@ -80,6 +80,8 @@ def test_t_bound_enforced():
     m = ModelSpec(ONE_NONMINIMAL, get_germ("p1"), t_bound=0.3)
     with pytest.raises(DomainError):
         surface_point(m, 0.31, 0.4)
+    with pytest.raises(DomainError):  # not a NaN surface point
+        surface_point(m, np.array([0.1, np.nan]), 0.4)
     surface_point(m, 0.3, 0.4)
 
 
@@ -87,6 +89,8 @@ def test_z2_domain_enforced():
     m = ModelSpec(ONE_NONMINIMAL, get_germ("p1"))
     with pytest.raises(DomainError):
         rho(m, 0.1j, 0.9)
+    with pytest.raises(DomainError):  # not 0.0, "on the surface"
+        rho(m, 0.1j, complex("nan"))
 
 
 def test_m_validation():

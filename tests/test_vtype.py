@@ -85,6 +85,17 @@ def test_scan_csv(tmp_path):
     assert "inf" in text
 
 
+@pytest.mark.parametrize("a", [1.0, 4.0])
+def test_scans_equal_per_point_estimates(a, tmp_path):
+    # The origin, and at a = 4 points where P underflows to 0 ("by-underflow").
+    germ = get_germ("p1", a=a)
+    grid = [0.0, 0.05, 0.2, 0.4, 0.4j]
+    expected = [vanishing_order(germ, z) for z in grid]
+    rows = write_scan_csv(tmp_path / "scan.csv", germ, grid)
+    assert [repr(est) for est in rows] == [repr(est) for est in expected]
+    assert scan_s_infinity(germ, grid) == [est.point for est in expected if est.infinite]
+
+
 @pytest.mark.parametrize("k_max", [0, -1])
 def test_vanishing_order_rejects_k_max_below_one(k_max):
     with pytest.raises(ParameterError):
