@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import counterexample as cx
-from .autsolve import default_grid, solve_model
+from .autsolve import default_grid, shell_points, solve_model
 from .errors import CrlabError
 from .fields import linear_diag_field
 from .flow import integrate_field
@@ -94,10 +94,7 @@ def cmd_flow(args) -> int:
 
 def cmd_vtype(args) -> int:
     germ = get_germ(args.germ, a=args.a)
-    pts = [0.0 + 0.0j]
-    for rr in (0.15, 0.3, 0.45):
-        for q in range(8):
-            pts.append(rr * np.exp(2j * np.pi * q / 8))
+    pts = [0j, *shell_points((0.15, 0.3, 0.45), 8)]
     out = _out_dir(args) / (args.out or "vtype_scan.csv")
     rows = write_scan_csv(out, germ, pts, K_max=args.k_max)
     n_inf = sum(1 for est in rows if est.infinite)

@@ -416,7 +416,6 @@ def log_p_diagnostic(germ: SmoothGerm, traj: FlowTrajectory):
     valid samples raises InsufficientDataError.
     """
     z = traj.z2_component()
-    germ.check_inside(z)
     p = np.abs(np.asarray(germ(z), dtype=float))
     valid = p > UNDERFLOW_FLOOR
     u = np.full(len(z), np.nan)

@@ -37,20 +37,30 @@ class SmoothGerm:
     wirt_fn: Callable = field(repr=False)
 
     def __call__(self, z):
-        return self.eval_fn(np.asarray(z, dtype=complex)) if np.ndim(z) else float(
-            self.eval_fn(complex(z))
-        )
+        return self._evaluate(self.eval_fn, z, float)
 
     def wirt(self, z):
         """Analytic Wirtinger derivative dP/dz = (P_x - i P_y)/2."""
+        return self._evaluate(self.wirt_fn, z, complex)
+
+    def _evaluate(self, fn, z, scalar):
+        """fn on an array z, or scalar(fn(z)) on a scalar, once z is in the disk."""
         if np.ndim(z):
-            return self.wirt_fn(np.asarray(z, dtype=complex))
-        return complex(self.wirt_fn(complex(z)))
+            z = np.asarray(z, dtype=complex)
+            self.check_inside(z)
+            return fn(z)
+        z = complex(z)
+        self.check_inside(z)
+        return scalar(fn(z))
 
     def check_inside(self, z):
-        if not np.all(np.abs(z) <= self.radius * (1 + 1e-12)):  # NaN fails too
+        """Raise DomainError, naming the first point of z outside the disk."""
+        s = np.abs(z)
+        bound = self.radius * (1 + 1e-12)
+        if not s.max(initial=0.0) <= bound:  # NaN fails too
+            first = np.ravel(z)[np.argmax(~(np.ravel(s) <= bound))]
             raise DomainError(
-                f"point outside the domain disk of germ '{self.id}' "
+                f"point {complex(first)} outside the domain disk of germ '{self.id}' "
                 f"(radius {self.radius})"
             )
 
@@ -92,26 +102,26 @@ class BumpFunction:
     def wirt(self, z):
         """Wirtinger derivative of z -> chi(|z|)."""
         z = np.asarray(z, dtype=complex)
-        s = np.abs(z)
-        with np.errstate(**_quiet):
-            out = np.where(s > 0, self.radial_derivative(s) * np.conj(z) / (2.0 * s), 0.0)
+        out = _positive(np.abs(z), lambda s: self.radial_derivative(s) * np.conj(z) / (2.0 * s))
         return out if out.ndim else complex(out)
+
+
+def _positive(s, fn):
+    """fn(s) where s > 0 and exactly 0 elsewhere, with numpy's warnings off.
+
+    fn only ever sees positive arguments: 1.0 stands in where s <= 0 or NaN.
+    """
+    with np.errstate(**_quiet):
+        return np.where(s > 0, fn(np.where(s > 0, s, 1.0)), 0.0)
 
 
 def _phi(s):
     """exp(-1/s) for s > 0, 0 otherwise (the standard mollifier leg)."""
-    s = np.asarray(s, dtype=float)
-    with np.errstate(**_quiet):
-        out = np.where(s > 0, np.exp(-1.0 / np.where(s > 0, s, 1.0)), 0.0)
-    return out
+    return _positive(np.asarray(s, dtype=float), lambda s: np.exp(-1.0 / s))
 
 
 def _phi_prime(s):
-    s = np.asarray(s, dtype=float)
-    with np.errstate(**_quiet):
-        safe = np.where(s > 0, s, 1.0)
-        out = np.where(s > 0, np.exp(-1.0 / safe) / safe**2, 0.0)
-    return out
+    return _positive(np.asarray(s, dtype=float), lambda s: np.exp(-1.0 / s) / s**2)
 
 
 def make_bump(r: float) -> BumpFunction:
@@ -126,9 +136,7 @@ def make_bump(r: float) -> BumpFunction:
 
 def _flat_radial(s, a):
     """exp(-1/s^a) with exact 0 at s = 0; underflow maps to 0."""
-    with np.errstate(**_quiet):
-        safe = np.where(s > 0, s, 1.0)
-        return np.where(s > 0, np.exp(-safe ** (-a)), 0.0)
+    return _positive(s, lambda s: np.exp(-s ** (-a)))
 
 
 def _p1_eval(z, a):
@@ -136,27 +144,19 @@ def _p1_eval(z, a):
 
 
 def _p1_wirt(z, a):
-    s = np.abs(z)
-    with np.errstate(**_quiet):
-        safe = np.where(s > 0, s, 1.0)
-        val = np.exp(-safe ** (-a)) * (a / 2.0) * safe ** (-a - 2.0) * np.conj(z)
-        return np.where(s > 0, val, 0.0)
+    return _positive(
+        np.abs(z), lambda s: np.exp(-s ** (-a)) * (a / 2.0) * s ** (-a - 2.0) * np.conj(z)
+    )
 
 
 def _p2_eval(z, a):
-    s = np.abs(z)
-    with np.errstate(**_quiet):
-        safe = np.where(s > 0, s, 1.0)
-        return np.where(s > 0, np.exp(-safe ** (-a) + np.real(z)), 0.0)
+    return _positive(np.abs(z), lambda s: np.exp(-s ** (-a) + np.real(z)))
 
 
 def _p2_wirt(z, a):
-    s = np.abs(z)
-    with np.errstate(**_quiet):
-        safe = np.where(s > 0, s, 1.0)
-        p = np.exp(-safe ** (-a) + np.real(z))
-        val = p * ((a / 2.0) * safe ** (-a - 2.0) * np.conj(z) + 0.5)
-        return np.where(s > 0, val, 0.0)
+    return _positive(np.abs(z), lambda s: (
+        np.exp(-s ** (-a) + np.real(z)) * ((a / 2.0) * s ** (-a - 2.0) * np.conj(z) + 0.5)
+    ))
 
 
 def _p3_eval(z, a):
@@ -166,11 +166,9 @@ def _p3_eval(z, a):
 def _p3_wirt(z, a):
     # P3(x+iy) = Ptilde(x), so dP/dz = Ptilde'(x)/2, a real number.
     x = np.real(z)
-    s = np.abs(x)
-    with np.errstate(**_quiet):
-        safe = np.where(s > 0, s, 1.0)
-        deriv = np.exp(-safe ** (-a)) * a * safe ** (-a - 1.0) * np.sign(x)
-        return np.where(s > 0, deriv / 2.0, 0.0) + 0.0j
+    return _positive(
+        np.abs(x), lambda s: np.exp(-s ** (-a)) * a * s ** (-a - 1.0) * np.sign(x) / 2.0
+    ) + 0.0j
 
 
 def _zero_eval(z, a):
@@ -221,8 +219,6 @@ def get_germ(germ_id: str, a: float = 1.0) -> SmoothGerm:
 def wirtinger_fd(germ: SmoothGerm, z: complex, h: float = 1e-5) -> complex:
     """Central finite-difference Wirtinger derivative, the oracle for wirt."""
     z = complex(z)
-    if abs(z) + h > germ.radius * (1 + 1e-12):
-        raise DomainError("finite-difference stencil leaves the domain disk")
     dx = (germ(z + h) - germ(z - h)) / (2.0 * h)
     dy = (germ(z + 1j * h) - germ(z - 1j * h)) / (2.0 * h)
     return 0.5 * (dx - 1j * dy)

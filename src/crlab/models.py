@@ -53,7 +53,6 @@ class ModelSpec:
 
 def rho(model: ModelSpec, z1, z2):
     """Defining function value; real."""
-    model.germ.check_inside(z2)
     p = model.germ(z2)
     if model.family == ONE_NONMINIMAL:
         return np.real(z1) + np.imag(z1) * p
@@ -65,7 +64,6 @@ def rho(model: ModelSpec, z1, z2):
 def surface_point(model: ModelSpec, t, z2):
     """Exact parametrization of the hypersurface; rho vanishes to roundoff."""
     _check_t(model, t)
-    model.germ.check_inside(z2)
     t = np.asarray(t, dtype=float) if np.ndim(t) else float(t)
     p = model.germ(z2)
     if model.family == ONE_NONMINIMAL:
@@ -80,7 +78,6 @@ def surface_point(model: ModelSpec, t, z2):
 
 def rho_gradient(model: ModelSpec, z1, z2):
     """(d rho/d z1, d rho/d z2) as Wirtinger derivatives."""
-    model.germ.check_inside(z2)
     p = model.germ(z2)
     pw = model.germ.wirt(z2)
     if model.family == ONE_NONMINIMAL:

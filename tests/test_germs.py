@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from crlab import (
+    CATALOG_IDS,
     DomainError,
     ParameterError,
     get_germ,
@@ -102,14 +103,26 @@ def test_bump_wirtinger_matches_finite_differences():
         assert abs(chi.wirt(z) - fd) < 1e-7
 
 
-def test_domain_check():
-    g = get_germ("p1")
+@pytest.mark.parametrize("gid", CATALOG_IDS)
+def test_domain_check(gid):
+    g = get_germ(gid)
     with pytest.raises(DomainError):
-        g.check_inside(0.8)
+        g.check_inside(g.radius + 0.05)
     for z in (complex("nan"), np.array([0.1, complex(0.2, float("nan"))])):
         with pytest.raises(DomainError):
             g.check_inside(z)
-    g.check_inside(0.75)  # boundary allowed
+    g.check_inside(g.radius)  # boundary allowed
+    g(g.radius)
+    g.wirt(g.radius)
+    # Every evaluation checks the disk: just past its edge and NaN, scalar or
+    # inside an array, for P and for dP/dz alike.
+    for z in (g.radius * (1 + 1e-9), complex("nan")):
+        for points in (z, np.array([0.1, z])):
+            for evaluate in (g, g.wirt):
+                with pytest.raises(DomainError, match="outside the domain disk"):
+                    evaluate(points)
+    with pytest.raises(DomainError):
+        wirtinger_fd(g, complex("nan"))
 
 
 def test_invalid_parameters_rejected():
