@@ -15,8 +15,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigurationError, ParameterError
-from .fields import VectorFieldPoly, monomial_field, residual_on_frame
-from .models import ModelSpec, surface_frame
+from .fields import VectorFieldPoly, eval_rows, monomial_field, residual_on_frame
+from .models import M_NONMINIMAL, RIGID, ModelSpec, surface_frame
 
 Column = tuple[int, int, int]  # (component, j, k): vector entries 2i (re), 2i+1 (im)
 
@@ -104,6 +104,8 @@ class AutBasis:
     status: str
     validation_residuals: list
     projection_residuals: list = field(default_factory=list)
+    # nullspace's (columns, C): C[i] holds basis[i]'s coefficients; for canonicalize.
+    null_block: tuple = field(init=False, default=None, repr=False, compare=False)
 
     @property
     def dimension(self) -> int:
@@ -124,6 +126,23 @@ def _monomials(N: int, include_origin: bool):
     ]
 
 
+def _require_curved(model: ModelSpec, grid: SampleGrid, bound: float) -> None:
+    """Reject a model whose samples cannot tell it from the Levi-flat P = 0,
+    whose algebra is infinite-dimensional: P enters rho on the surface as
+    t P, t^m P (m-nonminimal) or P (rigid), and that term is at most ``bound``
+    (0 in assemble, tau in nullspace) at every sample."""
+    power = {RIGID: 0, M_NONMINIMAL: model.m}.get(model.family, 1)
+    p_max = np.max(np.abs(model.germ(np.asarray(grid.z2_values))))
+    term = float(np.max(np.abs(grid.t_values)) ** power * p_max)
+    if term <= bound:
+        name = {0: "P", 1: "t P"}.get(power, f"t^{power} P")
+        raise ParameterError(
+            "the solver requires P not identically zero on a neighborhood of 0; "
+            f"germ '{model.germ.id}' gives max |{name}| = {term:.3g} over the samples, "
+            f"not above {bound:.3g}: they cannot tell the model from the Levi-flat one"
+        )
+
+
 def assemble(
     model: ModelSpec,
     N: int,
@@ -136,13 +155,7 @@ def assemble(
         raise ParameterError("jet order N must be >= 1")
     if grid is None:
         grid = default_grid()
-    if not np.any(model.germ(np.asarray(grid.z2_values))):
-        # P = 0 makes the model the Levi-flat Re z1 = 0 (or Im z1 = 0), whose
-        # algebra is infinite-dimensional: every jet order finds a null space.
-        raise ParameterError(
-            "the solver requires P not identically zero on a neighborhood of 0; "
-            f"germ '{model.germ.id}' is 0 at every z2 of the grid"
-        )
+    _require_curved(model, grid, 0.0)
 
     monos = _monomials(N, include_origin=not vanish_at_origin)
     columns: tuple[Column, ...] = tuple((comp, j, k) for comp in (1, 2) for (j, k) in monos)
@@ -158,11 +171,12 @@ def assemble(
     # Complex response of each monomial column: g_comp * z1^j z2^k.
     powers1 = {j: z1**j for j in {j for j, _ in monos}}
     powers2 = {k: z2**k for k in {k for _, k in monos}}
-    mat = np.empty((grid.n, n_unknowns))
+    mat = np.empty((n_unknowns, grid.n))  # transposed below: each column contiguous
     for ci, (comp, j, k) in enumerate(columns):
         base = (g1 if comp == 1 else g2) * powers1[j] * powers2[k]
-        mat[:, 2 * ci] = np.real(base)         # coefficient 1
-        mat[:, 2 * ci + 1] = -np.imag(base)    # coefficient i
+        mat[2 * ci] = np.real(base)         # coefficient 1
+        mat[2 * ci + 1] = -np.imag(base)    # coefficient i
+    mat = mat.T
 
     weights = np.max(np.abs(mat), axis=1)
     weights[weights == 0.0] = 1.0
@@ -173,14 +187,17 @@ def assemble(
 
 def field_from_vector(x: np.ndarray, columns) -> VectorFieldPoly:
     """Field whose coefficient of monomial ``columns[i]`` is x[2i] + i x[2i+1]."""
-    c1: dict = {}
-    c2: dict = {}
-    for (comp, j, k), re, im in zip(columns, x[0::2].tolist(), x[1::2].tolist()):
-        if re == 0.0 and im == 0.0:
-            continue
-        # + 0.0 turns a -0.0 part into 0.0, so reports never print "-0.0".
-        (c1 if comp == 1 else c2)[(j, k)] = complex(re + 0.0, im + 0.0)
-    return VectorFieldPoly(c1, c2)
+    # + 0.0 turns a -0.0 part into 0.0, so reports never print "-0.0".
+    return _fields_from_rows((np.asarray(x, dtype=float)[None] + 0.0).view(complex), columns)[0]
+
+
+def _fields_from_rows(C: np.ndarray, columns) -> list:
+    """A field per row of C, coefficient C[r, i] on ``columns[i]``, exact 0s left out."""
+    parts = [[(i, (j, k)) for i, (c, j, k) in enumerate(columns) if c == comp] for comp in (1, 2)]
+    return [
+        VectorFieldPoly(*({key: row[i] for i, key in part if row[i]} for part in parts))
+        for row in C.tolist()
+    ]
 
 
 def vector_from_field(f: VectorFieldPoly, columns) -> np.ndarray | None:
@@ -213,7 +230,17 @@ def _validation_frame(model: ModelSpec):
 
 def validation_residual(model: ModelSpec, f: VectorFieldPoly) -> float:
     """Sup of |tangency residual| on the validation grid."""
-    return float(np.max(np.abs(residual_on_frame(f, *_validation_frame(model)))))
+    z1, z2, g1, g2 = _validation_frame(model)
+    return float(np.max(np.abs(residual_on_frame(g1, g2, *f.eval(z1, z2)))))
+
+
+def _validation_residuals(model: ModelSpec, C: np.ndarray, columns) -> np.ndarray:
+    """validation_residual of each row's field (``_fields_from_rows``) at once."""
+    z1, z2, g1, g2 = _validation_frame(model)
+    # Sorted (j, k, i): the order VectorFieldPoly.eval adds terms in.
+    orders = [sorted((j, k, i) for i, (c, j, k) in enumerate(columns) if c == p) for p in (1, 2)]
+    h = [eval_rows([o[:2] for o in order], C[:, [o[2] for o in order]], z1, z2) for order in orders]
+    return np.max(np.abs(residual_on_frame(g1, g2, *h)), axis=1)
 
 
 def nullspace(system: TangencySystem, tau: float = 1e-8) -> AutBasis:
@@ -222,11 +249,13 @@ def nullspace(system: TangencySystem, tau: float = 1e-8) -> AutBasis:
 
     tau must lie in [max(m, n) * eps, 1) for an m x n system: below that
     roundoff floor (numpy's ``matrix_rank`` tolerance) no singular value
-    can be told from zero.
+    can be told from zero.  A model whose P-term is at most tau at every
+    sample is rejected (see ``_require_curved``).
     """
     floor = max(system.matrix.shape) * np.finfo(float).eps
     if not (floor <= tau < 1):
         raise ParameterError(f"tau must be in [{floor:.3g}, 1) for this system")
+    _require_curved(system.model, system.grid, tau)
     if system.n_samples < system.n_unknowns:
         # The thin SVD would return fewer right singular vectors than unknowns.
         raise ConfigurationError("the system needs at least as many samples as unknowns")
@@ -242,12 +271,11 @@ def nullspace(system: TangencySystem, tau: float = 1e-8) -> AutBasis:
     else:
         gap = float(s_above.min() / max(s_below.max(), np.finfo(float).tiny))
 
-    basis = [field_from_vector(vt[i], system.columns) for i in np.nonzero(null_mask)[0]]
-    resids = [validation_residual(system.model, f) for f in basis]
-    certified = [
-        r <= CERT_TOL * max(f.max_coefficient(), np.finfo(float).tiny)
-        for r, f in zip(resids, basis)
-    ]
+    C = (vt[null_mask] + 0.0).view(complex)  # as in field_from_vector
+    resids = _validation_residuals(system.model, C, system.columns)
+    # |C| row maxima are the basis fields' max_coefficient().
+    scale = np.maximum(np.abs(C).max(axis=1, initial=0.0), np.finfo(float).tiny)
+    certified = resids <= CERT_TOL * scale
 
     if gap < GAP_AMBIGUOUS:
         status = "ambiguous"
@@ -256,14 +284,16 @@ def nullspace(system: TangencySystem, tau: float = 1e-8) -> AutBasis:
     else:
         status = "unconfirmed"
 
-    return AutBasis(
+    basis = AutBasis(
         singular_values=s,
-        basis=basis,
-        labels=[None] * len(basis),
+        basis=_fields_from_rows(C, system.columns),
+        labels=[None] * len(C),
         gap=gap,
         status=status,
-        validation_residuals=resids,
+        validation_residuals=resids.tolist(),
     )
+    basis.null_block = (system.columns, C)
+    return basis
 
 
 # Candidate canonical fields with labels.  Each is one monomial with a unit
@@ -280,14 +310,10 @@ DICTIONARY = (
 )
 
 
-def _union_keys(fields_):
-    keys = set()
-    for f in fields_:
-        for comp, coeffs in ((1, f.coeffs1), (2, f.coeffs2)):
-            for (j, k), v in coeffs.items():
-                if v != 0:
-                    keys.add((comp, j, k))
-    return sorted(keys)
+# The (component, j, k) coordinates the DICTIONARY entries sit on.
+_DICTIONARY_KEYS = frozenset(
+    (comp, *key) for _, f in DICTIONARY for comp, c in ((1, f.coeffs1), (2, f.coeffs2)) for key in c
+)
 
 
 def canonicalize(basis: AutBasis) -> AutBasis:
@@ -300,10 +326,18 @@ def canonicalize(basis: AutBasis) -> AutBasis:
     dim = basis.dimension
     if dim == 0:
         return basis
+    if basis.null_block is None:
+        raise ParameterError("canonicalize labels the basis that nullspace returns")
 
-    keys = _union_keys(basis.basis + [f for _, f in DICTIONARY])
-    B = np.array([vector_from_field(f, keys) for f in basis.basis])
-    B = B / np.linalg.norm(B, axis=1)[:, None]
+    # B: the basis coefficients on every coordinate some basis field or
+    # DICTIONARY entry uses, in sorted (component, j, k) order.
+    columns, C = basis.null_block
+    used = np.flatnonzero(C.any(axis=0))
+    keys = sorted(_DICTIONARY_KEYS.union(columns[i] for i in used))
+    pos = {key: p for p, key in enumerate(keys)}
+    B = np.zeros((dim, len(keys)), dtype=complex)
+    B[:, [pos[columns[i]] for i in used]] = C[:, used]
+    B = B.view(float) / np.linalg.norm(B.view(float), axis=1)[:, None]
     # Orthonormalize (SVD vectors already are; QR guards roundoff).
     q, _ = np.linalg.qr(B.T)
     Bo = q.T[:dim]

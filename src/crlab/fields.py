@@ -90,24 +90,29 @@ def _eval_sparse(coeffs: Coeffs, z1, z2):
     # results are bit-identical to the array formula's.
     if isinstance(z1, complex) and isinstance(z2, complex):
         z1, z2 = complex(z1), complex(z2)
-        total, power = 0j, _scalar_power
-    else:
-        z1, z2 = np.asarray(z1), np.asarray(z2)
-        total, power = np.zeros(np.broadcast(z1, z2).shape, dtype=complex), pow
-    # Powers are cached on first use: tables built up front slow down the
-    # scalar calls that flow right-hand sides make.
-    pow1: dict = {}
-    pow2: dict = {}
-    for (j, k) in sorted(coeffs):
-        a = pow1.get(j)
-        if a is None:
-            a = pow1[j] = power(z1, j)
-        b = pow2.get(k)
-        if b is None:
-            b = pow2[k] = power(z2, k)
-        total = total + coeffs[(j, k)] * a * b
-    if isinstance(total, np.ndarray) and total.ndim == 0:
-        return complex(total)
+        total = 0j
+        for (j, k) in sorted(coeffs):
+            total = total + coeffs[(j, k)] * _scalar_power(z1, j) * _scalar_power(z2, k)
+        return total
+    keys = sorted(coeffs)
+    h = eval_rows(keys, np.array([[coeffs[key] for key in keys]], dtype=complex), z1, z2)[0]
+    return complex(h) if np.ndim(h) == 0 else h
+
+
+def eval_rows(keys, coeffs: np.ndarray, z1, z2) -> np.ndarray:
+    """Row r: sum_i coeffs[r, i] z1^j z2^k over ``keys[i] = (j, k)``, adding
+    (c z1^j) z2^k in key order.  Rows do not mix, and an exact 0 coefficient
+    adds +-0 to a total that is never -0, so it changes no bit."""
+    z1, z2 = np.asarray(z1), np.asarray(z2)
+    shape = np.broadcast(z1, z2).shape
+    total = np.zeros((len(coeffs), *shape), dtype=complex)
+    pow1 = {j: z1**j for j in {j for j, _ in keys}}
+    pow2 = {k: z2**k for k in {k for _, k in keys}}
+    # Column i of coeffs, shaped to broadcast against the points.
+    columns = coeffs.T.reshape(len(keys), len(coeffs), *(1,) * len(shape))
+    term = np.empty_like(total)
+    for (j, k), c in zip(keys, columns):
+        total += np.multiply(np.multiply(c, pow1[j], out=term), pow2[k], out=term)
     return total
 
 
@@ -140,10 +145,11 @@ def tangency_residual(model: ModelSpec, f: VectorFieldPoly, t, z2):
     Linear over R in the field coefficients; vanishes identically iff the
     real part of the field is tangent to the model along the sampled set.
     """
-    return residual_on_frame(f, *surface_frame(model, t, z2))
+    z1, z2c, g1, g2 = surface_frame(model, t, z2)
+    return residual_on_frame(g1, g2, *f.eval(z1, z2c))
 
 
-def residual_on_frame(f: VectorFieldPoly, z1, z2, g1, g2):
-    """Re[g1 h1 + g2 h2] at surface points (z1, z2) with rho gradient (g1, g2)."""
-    h1, h2 = f.eval(z1, z2)
+def residual_on_frame(g1, g2, h1, h2):
+    """Re[g1 h1 + g2 h2]: the residual of field values (h1, h2), or of a
+    stack of them (a row per field), where the rho gradient is (g1, g2)."""
     return np.real(g1 * h1 + g2 * h2)

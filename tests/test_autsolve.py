@@ -13,6 +13,7 @@ from crlab import (
     RIGID,
     SampleGrid,
     assemble,
+    canonicalize,
     default_grid,
     get_germ,
     monomial_field,
@@ -22,7 +23,14 @@ from crlab import (
     validation_grid,
     validation_residual,
 )
-from crlab.autsolve import field_from_vector, vector_from_field
+from crlab.autsolve import (
+    CERT_TOL,
+    DICTIONARY,
+    LABEL_TOL,
+    SPAN_TOL,
+    field_from_vector,
+    vector_from_field,
+)
 
 
 def test_grid_rejects_origin_in_z2():
@@ -180,16 +188,84 @@ def test_nullspace_matches_direct_thin_svd(germ, family, N):
     assert basis.basis == [field_from_vector(v, system.columns) for v in vt[null]]
 
 
-@pytest.mark.parametrize("germ", ["p1", "counterexample"])
-def test_validation_residual_equals_tangency_residual(germ):
-    model = ModelSpec(ONE_NONMINIMAL, get_germ(germ))
-    basis = nullspace(assemble(model, N=5))
+def per_vector_report(model, N):
+    """The parts of solve_model's report that nullspace and canonicalize
+    make, built one null vector at a time: a field per SVD row, its
+    tangency_residual on the validation grid, and a coefficient vector per
+    field over the union of the fields' monomials."""
+    system = assemble(model, N)
+    _, s, vt = np.linalg.svd(np.linalg.qr(system.matrix, mode="r"), full_matrices=False)
+    null = s <= 1e-8 * s[0]
+    basis = [field_from_vector(v, system.columns) for v in vt[null]]
+    T, Z = validation_grid().samples()
+    resids = [float(np.max(np.abs(tangency_residual(model, f, T, Z)))) for f in basis]
+    tiny = np.finfo(float).tiny
+    gap = float(s[~null].min() / max(s[null].max(), tiny)) if 0 < null.sum() < len(s) else None
+    certified = all(r <= CERT_TOL * max(f.max_coefficient(), tiny) for r, f in zip(resids, basis))
+    if gap is not None and gap < 10:
+        status = "ambiguous"
+    else:
+        status = "confident" if (gap is None or gap >= 1e3) and certified else "unconfirmed"
+
+    dim, matched = len(basis), []
+    fields_ = basis + [f for _, f in DICTIONARY]
+    keys = sorted({(c, j, k) for f in fields_ for c, cs in ((1, f.coeffs1), (2, f.coeffs2))
+                   for (j, k), v in cs.items() if v != 0})
+    if dim:
+        B = np.array([vector_from_field(f, keys) for f in basis])
+        Bo = np.linalg.qr((B / np.linalg.norm(B, axis=1)[:, None]).T)[0].T[:dim]
+        for label, f in DICTIONARY:
+            v = vector_from_field(f, keys)
+            r = float(np.linalg.norm(v - Bo.T @ (Bo @ v)))
+            if r <= LABEL_TOL:
+                matched.append((label, f, np.flatnonzero(v)[0], r))
+    labels = [m[0] for m in matched][:dim]
+    labels += ["unidentified"] * (dim - len(labels))
+    if dim and len(matched) == dim:
+        outside = np.ones(2 * len(keys), dtype=bool)
+        outside[[m[2] for m in matched]] = False
+        if np.linalg.norm(Bo[:, outside], axis=1).max() <= SPAN_TOL:
+            basis = [m[1] for m in matched]
+    return {
+        "singular_values": s.tolist(),
+        "dimension": dim,
+        "gap": gap,
+        "status": status,
+        "basis": [f.to_records() for f in basis],
+        "labels": labels,
+        "validation_residuals": resids,
+        "projection_residuals": [m[3] for m in matched],
+    }
+
+
+ORACLE_MODELS = {
+    "p1": ModelSpec(ONE_NONMINIMAL, get_germ("p1")),
+    "counterexample": ModelSpec(ONE_NONMINIMAL, get_germ("counterexample")),
+    "p1-m2": ModelSpec(M_NONMINIMAL, get_germ("p1"), m=2),
+    "hyperquadric": ModelSpec(RIGID, get_germ("control")),
+}
+
+
+@pytest.mark.parametrize(
+    "name, N",
+    [pytest.param(name, N, id=name if N == 5 else f"{name}-N{N}")
+     for N in (5, 12) for name in ORACLE_MODELS],
+)
+def test_validation_residual_equals_tangency_residual(name, N):
+    # nullspace certifies and converts its whole null block at once, and
+    # canonicalize indexes that block; the report must equal the one built
+    # a vector at a time, bit for bit.
+    model = ORACLE_MODELS[name]
+    basis = nullspace(assemble(model, N=N))
     assert basis.dimension > 0
     T, Z = validation_grid().samples()
     for f, r in zip(basis.basis, basis.validation_residuals):
         expected = float(np.max(np.abs(tangency_residual(model, f, T, Z))))
         assert r == expected
         assert validation_residual(model, f) == expected
+    _, report = solve_model(model, N=N)
+    reference = per_vector_report(model, N)
+    assert json.dumps({k: report[k] for k in reference}) == json.dumps(reference)
 
 
 def test_validation_residual_is_per_model_and_grid():
@@ -208,3 +284,42 @@ def test_validation_residual_is_per_model_and_grid():
     got = [validation_residual(model, f) for model in calls]
     assert got == [direct(model) for model in calls]
     assert len(set(got)) == 2
+
+
+@pytest.mark.parametrize(
+    "family, a, m",
+    [(M_NONMINIMAL, 1.0, m) for m in (14, 16, 20, 50, 400)]
+    + [(ONE_NONMINIMAL, 8.0, 1), (ONE_NONMINIMAL, 10.0, 1), (RIGID, 8.0, 1)],
+)
+def test_p_term_at_most_tau_at_every_sample_is_rejected(family, a, m):
+    # |t|^m P <= 0.3^16 * 0.16 = 7e-10 at m = 16 (and exp(-1/|z|^8) <= 2e-52
+    # at a = 8): the samples see the Levi-flat model, and the solver used to
+    # report a confident dimension 45.
+    model = ModelSpec(family, get_germ("p1", a=a), m=m)
+    with pytest.raises(ParameterError, match="not identically zero.*not above 1e-08"):
+        solve_model(model)
+
+
+def test_p_term_rule_follows_tau():
+    # m = 16: max |t^16 P| over the default grid is 7.0e-10.
+    system = assemble(ModelSpec(M_NONMINIMAL, get_germ("p1"), m=16), N=5)
+    with pytest.raises(ParameterError, match="not above 1e-09"):
+        nullspace(system, tau=1e-9)
+    assert nullspace(system, tau=1e-10).status == "ambiguous"
+
+
+@pytest.mark.parametrize("m", range(2, 14))
+def test_m_nonminimal_is_confident_only_where_right(m):
+    # Dimension 1 (i z2 dz2) for every m; from m = 4 the default grid cannot
+    # separate it, and the solver must say so rather than be confident.
+    basis, _ = solve_model(ModelSpec(M_NONMINIMAL, get_germ("p1"), m=m))
+    assert basis.confident == (m <= 3)
+    if m <= 3:
+        assert basis.labels == ["i z2 dz2"]
+
+
+def test_canonicalize_needs_the_nullspace_block():
+    basis = nullspace(assemble(ModelSpec(ONE_NONMINIMAL, get_germ("p1")), N=5))
+    assert canonicalize(basis).labels == ["z1 dz1", "i z2 dz2"]
+    with pytest.raises(ParameterError, match="nullspace"):
+        canonicalize(replace(basis))

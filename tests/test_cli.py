@@ -146,6 +146,8 @@ def test_non_finite_or_out_of_range_input_is_invalid(args, tmp_path):
         (["solve", "--family", "m-nonminimal", "--m", "1"], "require integer m >= 2"),
         (["flow", "--z2-re", "nan"], "outside the domain disk"),
         (["flow", "--t0", "nan"], "t must be finite"),
+        # |t|^400 P underflows far below tau: the samples see Im z1 = 0.
+        (["solve", "--family", "m-nonminimal", "--m", "400"], "not above 1e-08"),
     ],
 )
 def test_invalid_input_message_comes_from_the_owning_rule(args, message, tmp_path, capsys):

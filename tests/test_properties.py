@@ -1,5 +1,6 @@
-"""Property tests: germ evaluation on and off the domain disk, and the
-coefficient codecs of the solver and of VectorFieldPoly."""
+"""Property tests: germ evaluation on and off the domain disk, the
+coefficient codecs of the solver and of VectorFieldPoly, and the tangency
+residual of one field and of a stack of them."""
 
 import math
 
@@ -12,14 +13,23 @@ from hypothesis import strategies as st  # noqa: E402
 
 from crlab import (  # noqa: E402
     CATALOG_IDS,
+    M_NONMINIMAL,
     DomainError,
     ModelSpec,
     ONE_NONMINIMAL,
     VectorFieldPoly,
     assemble,
     get_germ,
+    tangency_residual,
+    validation_grid,
 )
-from crlab.autsolve import field_from_vector, vector_from_field  # noqa: E402
+from crlab.autsolve import (  # noqa: E402
+    _validation_residuals,
+    field_from_vector,
+    vector_from_field,
+)
+from crlab.fields import eval_rows  # noqa: E402
+from crlab.models import FAMILIES, surface_frame  # noqa: E402
 
 # Derandomized, so every run draws the same examples.
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=20)
@@ -80,8 +90,8 @@ nonzero = st.complex_numbers(allow_nan=False, allow_infinity=False).filter(bool)
 
 
 @st.composite
-def fields_on(draw, columns):
-    coeffs = draw(st.dictionaries(st.sampled_from(columns), nonzero))
+def fields_on(draw, columns, values=nonzero):
+    coeffs = draw(st.dictionaries(st.sampled_from(columns), values))
     c1 = {(j, k): v for (comp, j, k), v in coeffs.items() if comp == 1}
     c2 = {(j, k): v for (comp, j, k), v in coeffs.items() if comp == 2}
     return VectorFieldPoly(c1, c2)
@@ -104,3 +114,76 @@ coeffs = st.dictionaries(monomials, st.complex_numbers(allow_nan=False))
 def test_records_round_trip(c1, c2):
     f = VectorFieldPoly(c1, c2)
     assert VectorFieldPoly.from_records(f.to_records()) == f
+
+
+@st.composite
+def models(draw, family):
+    gid = draw(st.sampled_from(CATALOG_IDS))
+    m = draw(st.sampled_from([2, 3])) if family == M_NONMINIMAL else 1
+    return ModelSpec(family, GERMS[gid], m=m)
+
+
+@st.composite
+def coefficient_stacks(draw, n):
+    """1-40 rows of n coefficient pairs (re, im) with exact 0.0 and -0.0
+    entries and an all-zero row; numpy draws the entries from a seed."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = draw(st.integers(1, 40))
+    X = rng.standard_normal((rows, 2 * n)) * 10.0 ** rng.integers(-3, 4, size=(rows, 1))
+    zero = rng.random(X.shape) < draw(st.sampled_from([0.1, 0.5, 0.9]))
+    X[zero] = rng.choice([0.0, -0.0], size=int(zero.sum()))
+    X[rng.integers(rows)] = rng.choice([0.0, -0.0], size=2 * n)
+    return X
+
+
+def naive_eval(coeffs, z1, z2):
+    """The formula a field's values must equal: every power recomputed, terms
+    added in sorted (j, k) order."""
+    total = np.zeros(np.broadcast(z1, z2).shape, dtype=complex)
+    for (j, k) in sorted(coeffs):
+        total = total + coeffs[(j, k)] * z1**j * z2**k
+    return total
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@PROPERTY
+@given(data=st.data())
+def test_stacked_residuals_equal_per_field_residuals_bit_for_bit(family, data):
+    # A zero coefficient is left out of a field but evaluated in a stack.
+    model = data.draw(models(family))
+    columns = data.draw(st.sampled_from(COLUMNS))
+    X = data.draw(coefficient_stacks(len(columns)))
+    T, Z = validation_grid().samples()
+    z1, z2, _, _ = surface_frame(model, T, Z)
+    C = X.view(complex)
+    stacks = []
+    for comp in (1, 2):
+        keys = sorted((j, k) for c, j, k in columns if c == comp)
+        stacks.append(eval_rows(keys, C[:, [columns.index((comp, *key)) for key in keys]], z1, z2))
+    sups = _validation_residuals(model, C, columns)
+    for r, x in enumerate(X):
+        f = field_from_vector(x, columns)
+        assert sups[r].tobytes() == np.max(np.abs(tangency_residual(model, f, T, Z))).tobytes()
+        for stack, h, coeffs in zip(stacks, f.eval(z1, z2), (f.coeffs1, f.coeffs2)):
+            assert stack[r].tobytes() == h.tobytes() == naive_eval(coeffs, z1, z2).tobytes()
+
+
+bounded = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False).filter(bool)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@PROPERTY
+@given(data=st.data())
+def test_tangency_residual_is_real_linear(family, data):
+    model = data.draw(models(family))
+    f, g = data.draw(fields_on(COLUMNS[1], bounded)), data.draw(fields_on(COLUMNS[1], bounded))
+    a, b = data.draw(st.floats(-1e3, 1e3)), data.draw(st.floats(-1e3, 1e3))
+    T, Z = validation_grid().samples()
+    lhs = tangency_residual(model, a * f + b * g, T, Z)
+    rhs = a * tangency_residual(model, f, T, Z) + b * tangency_residual(model, g, T, Z)
+    # Each residual sums at most 42 terms c z1^j z2^k g_i with |z1|, |z2| < 1
+    # on the grid: roundoff stays below 1e-12 of sum |c| * max |g|.
+    _, _, g1, g2 = surface_frame(model, T, Z)
+    l1 = abs(a) * sum(map(abs, [*f.coeffs1.values(), *f.coeffs2.values()])) + abs(b) * sum(
+        map(abs, [*g.coeffs1.values(), *g.coeffs2.values()]))
+    assert np.max(np.abs(lhs - rhs)) <= 1e-12 * l1 * np.max(np.abs(g1) + np.abs(g2))
