@@ -50,7 +50,6 @@ from .flow import (
     characteristic_flow,
     integrate_field,
     log_p_diagnostic,
-    trajectory_from_samples,
 )
 from .vtype import (
     VanishingOrderEstimate,
@@ -59,17 +58,13 @@ from .vtype import (
     vanishing_order,
 )
 from .mapverify import (
-    Compose,
-    GeneralPair,
     Negate,
     Rotate,
     Scale,
     TranslateIm,
     check_modulus_derivative,
     check_reparam,
-    check_symmetries,
     invariance_residual,
-    simplify,
 )
 from .counterexample import (
     CounterexampleParams,

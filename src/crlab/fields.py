@@ -3,7 +3,6 @@ pointwise tangency residual Re[rho_z1 h1 + rho_z2 h2] on a model surface."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,29 +26,11 @@ class VectorFieldPoly:
                 if j < 0 or k < 0:
                     raise ValueError("monomial indices must be non-negative")
 
-    @property
-    def degree_bound(self) -> int:
-        idx = list(self.coeffs1) + list(self.coeffs2)
-        return max((j + k for j, k in idx), default=0)
-
     def eval(self, z1, z2):
         """(h1(z1,z2), h2(z1,z2)); fixed summation order for reproducibility."""
         h1 = _eval_sparse(self.coeffs1, z1, z2)
         h2 = _eval_sparse(self.coeffs2, z1, z2)
         return h1, h2
-
-    def __add__(self, other: "VectorFieldPoly") -> "VectorFieldPoly":
-        return VectorFieldPoly(
-            _merge(self.coeffs1, other.coeffs1), _merge(self.coeffs2, other.coeffs2)
-        )
-
-    def __rmul__(self, s) -> "VectorFieldPoly":
-        return VectorFieldPoly(
-            {k: s * v for k, v in self.coeffs1.items()},
-            {k: s * v for k, v in self.coeffs2.items()},
-        )
-
-    __mul__ = __rmul__
 
     def max_coefficient(self) -> float:
         vals = [abs(v) for v in self.coeffs1.values()] + [
@@ -58,6 +39,7 @@ class VectorFieldPoly:
         return max(vals, default=0.0)
 
     def to_records(self) -> list[dict]:
+        """The report rows, one per monomial in (component, j, k) order."""
         recs = []
         for comp, coeffs in ((1, self.coeffs1), (2, self.coeffs2)):
             for (j, k) in sorted(coeffs):
@@ -66,22 +48,6 @@ class VectorFieldPoly:
                     {"component": comp, "j": j, "k": k, "re": v.real, "im": v.imag}
                 )
         return recs
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_records())
-
-    @classmethod
-    def from_records(cls, recs) -> "VectorFieldPoly":
-        c1: Coeffs = {}
-        c2: Coeffs = {}
-        for r in recs:
-            tgt = c1 if r["component"] == 1 else c2
-            tgt[(r["j"], r["k"])] = complex(r["re"], r["im"])
-        return cls(c1, c2)
-
-    @classmethod
-    def from_json(cls, s: str) -> "VectorFieldPoly":
-        return cls.from_records(json.loads(s))
 
 
 def _eval_sparse(coeffs: Coeffs, z1, z2):
@@ -119,13 +85,6 @@ def eval_rows(keys, coeffs: np.ndarray, z1, z2) -> np.ndarray:
 def _scalar_power(z: complex, j: int) -> complex:
     # numpy squares with np.square, which rounds differently from z * z.
     return complex(np.asarray(z) ** 2) if j == 2 else z**j
-
-
-def _merge(a: Coeffs, b: Coeffs) -> Coeffs:
-    out = dict(a)
-    for k, v in b.items():
-        out[k] = out.get(k, 0) + v
-    return out
 
 
 def monomial_field(component: int, j: int, k: int, coef: complex = 1.0) -> VectorFieldPoly:

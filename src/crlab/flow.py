@@ -354,7 +354,15 @@ def integrate_field(
     traj, _ = _solve(rhs, t_span, y0, tol, events)
     if model is not None:
         states = traj.states
-        traj.rho_residuals = np.asarray(rho(model, states[:, 0], states[:, 1]), dtype=float)
+        # (Re z1)^m overflows for a large m long before the state does.
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = np.asarray(rho(model, states[:, 0], states[:, 1]), dtype=float)
+        bad = ~np.isfinite(r)
+        if bad.any():
+            raise ParameterError(
+                f"rho is not finite along the flow from t = {traj.times[bad.argmax()]:.6g}"
+            )
+        traj.rho_residuals = r
     return traj
 
 
@@ -397,15 +405,6 @@ def characteristic_flow(
     ]
     traj, _ = _solve(rhs, t_span, [z0.real, z0.imag], tol, events)
     return traj
-
-
-def trajectory_from_samples(times, states) -> FlowTrajectory:
-    """Wrap externally computed (e.g. closed-form) samples as a trajectory."""
-    times = np.asarray(times, dtype=float)
-    states = np.asarray(states, dtype=complex)
-    if np.any(np.diff(times) <= 0):
-        raise ParameterError("times must be strictly increasing")
-    return FlowTrajectory(times=times, states=states)
 
 
 def log_p_diagnostic(germ: SmoothGerm, traj: FlowTrajectory):

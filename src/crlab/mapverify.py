@@ -1,5 +1,5 @@
-"""Verification of candidate CR automorphisms and the structural
-predicates on P (rotational symmetry, parity, reparametrization laws)."""
+"""Verification of candidate CR automorphisms: invariance of the model and
+the reparametrization law of P under the z2 component."""
 
 from __future__ import annotations
 
@@ -69,67 +69,12 @@ class Negate:
         return (0.0, -1.0)
 
 
-@dataclass(frozen=True)
-class GeneralPair:
-    """(z1, z2) -> (c z1, g2(z2)) with real c != 0 and polynomial g2,
-    g2(0) = 0.  Coefficients ascending."""
-
-    c: float
-    g2: tuple
-
-    def __post_init__(self):
-        _require_finite("first-component factor", self.c)
-        for v in self.g2:
-            _require_finite("g2 coefficient", v)
-        if self.c == 0:
-            raise DegenerateMapError("first-component factor must be nonzero real")
-        if len(self.g2) == 0 or self.g2[0] != 0:
-            raise DegenerateMapError("g2 must be a polynomial with g2(0) = 0")
-
-    def apply(self, z1, z2):
-        return self.c * np.asarray(z1, dtype=complex), eval_poly(self.g2, z2)
-
-    def g2_coeffs(self):
-        return self.g2
-
-
-@dataclass(frozen=True)
-class Compose:
-    maps: tuple
-
-    def apply(self, z1, z2):
-        for m in reversed(self.maps):  # rightmost acts first
-            z1, z2 = m.apply(z1, z2)
-        return z1, z2
-
-
 def eval_poly(coeffs, z):
     z = np.asarray(z, dtype=complex)
     total = np.zeros_like(z)
     for c in reversed(coeffs):
         total = total * z + c
     return total
-
-
-def simplify(m):
-    """Merge adjacent same-kind factors: Scale*Scale and Rotate*Rotate
-    collapse exactly at the coefficient level."""
-    if not isinstance(m, Compose):
-        return m
-    flat = []
-    for part in m.maps:
-        part = simplify(part)
-        parts = part.maps if isinstance(part, Compose) else (part,)
-        for p in parts:
-            if flat and isinstance(p, Scale) and isinstance(flat[-1], Scale):
-                flat[-1] = Scale(flat[-1].s * p.s)
-            elif flat and isinstance(p, Rotate) and isinstance(flat[-1], Rotate):
-                flat[-1] = Rotate(flat[-1].theta + p.theta)
-            else:
-                flat.append(p)
-    if len(flat) == 1:
-        return flat[0]
-    return Compose(tuple(flat))
 
 
 def invariance_residual(model: ModelSpec, mp, grid) -> float:
@@ -163,22 +108,6 @@ def check_modulus_derivative(g2_coeffs) -> float:
     if coeffs[0] != 0:
         raise DegenerateMapError("g2 must fix the origin")
     return abs(abs(complex(coeffs[1])) - 1.0)
-
-
-def check_symmetries(germ: SmoothGerm):
-    """rot_defect = max over shells of (max - min of P on the shell);
-    parity_defect = max |P(z) - P(-z)| over the shell points."""
-    angles = 2 * np.pi * np.arange(64) / 64
-    rot_defect = 0.0
-    parity_defect = 0.0
-    for r in (0.15, 0.3, 0.45, 0.6):
-        z = r * np.exp(1j * angles)
-        vals = np.asarray(germ(z), dtype=float)
-        rot_defect = max(rot_defect, float(vals.max() - vals.min()))
-        parity_defect = max(
-            parity_defect, float(np.max(np.abs(vals - np.asarray(germ(-z), dtype=float))))
-        )
-    return rot_defect, parity_defect
 
 
 def verdict_report(model: ModelSpec, mp, grid) -> dict:

@@ -155,6 +155,13 @@ def test_invalid_input_message_comes_from_the_owning_rule(args, message, tmp_pat
     assert message in capsys.readouterr().err
 
 
+def test_flow_whose_rho_overflows_exits_2_and_writes_nothing(tmp_path, capsys):
+    # Re z1 reaches 14.8 along the default flow, and 14.8^264 overflows.
+    assert run(["flow", "--family", "m-nonminimal", "--m", "264"], tmp_path) == 2
+    assert "rho is not finite along the flow from t = 5" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_unknown_example_id_exits_2(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         run(["examples", "--which", "nope"], tmp_path)
@@ -185,6 +192,8 @@ def test_unknown_example_id_exits_2(tmp_path, capsys):
         ["flow", "--tol", "1.1e-14"],
         # The bump's mollifier legs both underflowed: NaN in the germ.
         ["counterexample", "--r", "0.001"],
+        # (Re z1)^264 overflowed in rho: a RuntimeWarning, then a JSON error.
+        ["flow", "--family", "m-nonminimal", "--m", "264"],
     ],
 )
 def test_out_of_range_input_exits_2_in_a_subprocess(args, tmp_path):
@@ -202,3 +211,40 @@ def test_out_of_range_input_exits_2_in_a_subprocess(args, tmp_path):
 def test_config_without_path_is_invalid(tail, capsys):
     assert main(["solve", "--config", *tail]) == 2
     assert "--config needs a file path" in capsys.readouterr().err
+
+
+# Each subcommand's numeric flags; --m is read only under the m-nonminimal
+# family, so its cases select it.
+NUMERIC_FLAGS = {
+    "solve": ["--a", "--m", "--jet", "--tau"],
+    "flow": ["--a", "--m", "--alpha", "--beta", "--t0", "--z2-re", "--z2-im", "--t-end", "--tol"],
+    "vtype": ["--a", "--k-max"],
+    "verify": ["--a", "--m"],
+    "counterexample": ["--z20-re", "--z20-im", "--C", "--t0", "--r"],
+}
+EDGE_VALUES = ["nan", "inf", "-inf", "0", "1e308", "-1"]
+FUZZ_CASES = [
+    [command, f"{flag}={value}", *(["--family", "m-nonminimal"] if flag == "--m" else []),
+     *(["--map", "rotate:0.7"] if command == "verify" else [])]
+    for command, flags in NUMERIC_FLAGS.items()
+    for flag in flags
+    for value in EDGE_VALUES
+] + [
+    ["solve", "--jet", "40"],
+    *([command, "--family", "m-nonminimal", "--m", "400", *extra]
+      for command, extra in (("solve", []), ("flow", []), ("verify", ["--map", "rotate:0.7"]))),
+    *(["verify", "--map", spec] for spec in ("scale:0", "rotate:", "foo", "scale:1e308")),
+    ["examples", "--which"],
+]
+
+
+@pytest.mark.parametrize("args", FUZZ_CASES, ids=" ".join)
+def test_cli_edge_values_exit_cleanly(args, tmp_path):
+    # pytest turns a RuntimeWarning into an error, so none may be raised.
+    try:
+        code = run(args, tmp_path)
+    except SystemExit as exc:  # argparse rejects the value
+        code = exc.code
+    assert code in (0, 1, 2)
+    for path in tmp_path.glob("*.json"):
+        json.loads(path.read_text(), parse_constant=_reject_constant)

@@ -1,4 +1,4 @@
-"""Field algebra plus the closed-form tangency residuals used as oracles
+"""Field evaluation plus the closed-form tangency residuals used as oracles
 throughout the solver tests."""
 
 import struct
@@ -33,19 +33,7 @@ def test_eval_and_algebra():
     h1, h2 = f.eval(0.5 + 0.5j, 0.25j)
     assert h1 == pytest.approx(2 * (0.5 + 0.5j) + 1j * 0.25j)
     assert h2 == pytest.approx(-((0.25j) ** 2))
-    g = monomial_field(2, 0, 1, 3.0)
-    s = f + g
-    assert s.coeffs2[(0, 1)] == 3.0
-    assert (2.0 * f).coeffs1[(1, 0)] == 4.0
-    assert f.degree_bound == 2
     assert f.max_coefficient() == 2.0
-
-
-def test_json_round_trip():
-    f = VectorFieldPoly({(1, 0): 1 - 2j}, {(0, 3): 0.5j})
-    g = VectorFieldPoly.from_json(f.to_json())
-    assert g.coeffs1 == f.coeffs1
-    assert g.coeffs2 == f.coeffs2
 
 
 def test_negative_indices_rejected():
@@ -117,9 +105,10 @@ def test_residual_is_real_linear_in_coefficients():
     t, z2 = 0.2, 0.4 + 0.1j
     rf = tangency_residual(model, f, t, z2)
     rg = tangency_residual(model, g, t, z2)
-    rsum = tangency_residual(model, f + g, t, z2)
+    rsum = tangency_residual(model, VectorFieldPoly({(0, 2): 1 + 1j}, {(1, 1): -2j}), t, z2)
     assert rsum == pytest.approx(rf + rg, abs=1e-16)
-    assert tangency_residual(model, 3.0 * f, t, z2) == pytest.approx(3 * rf, abs=1e-16)
+    r3f = tangency_residual(model, monomial_field(1, 0, 2, 3 + 3j), t, z2)
+    assert r3f == pytest.approx(3 * rf, abs=1e-16)
 
 
 def test_residual_against_high_precision_oracle():

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from crlab import (
+    FlowTrajectory,
     InsufficientDataError,
+    M_NONMINIMAL,
     ModelSpec,
     ONE_NONMINIMAL,
     ParameterError,
@@ -19,7 +21,6 @@ from crlab import (
     linear_diag_field,
     log_p_diagnostic,
     surface_point,
-    trajectory_from_samples,
 )
 from crlab import flow
 from crlab.germs import DEFAULT_RADIUS
@@ -99,7 +100,7 @@ def test_log_p_slope_for_exponential_decay():
 def test_log_p_underflow_raises():
     times = np.linspace(0, 1, 50)
     states = np.full(50, 1e-4 + 0j)  # exp(-1/1e-4) underflows
-    traj = trajectory_from_samples(times, states)
+    traj = FlowTrajectory(times, states)
     with pytest.raises(InsufficientDataError):
         log_p_diagnostic(get_germ("p1"), traj)
 
@@ -122,10 +123,9 @@ def test_parameter_validation():
         characteristic_flow(1.0, 1, None, 0.3, (0.0, 1.0), tol=1.0)
     with pytest.raises(ParameterError, match="tol must lie in"):
         characteristic_flow(1.0, 1, None, 0.3, (0.0, 1.0), tol=1.1e-14)
+    traj = FlowTrajectory(np.array([0.0, 1.0]), np.array([0.1, 0.2], dtype=complex))
     with pytest.raises(ParameterError):
-        trajectory_from_samples([0.0, 0.0], [0.1, 0.2])
-    with pytest.raises(ParameterError):
-        blowup_time_estimate(trajectory_from_samples([0, 1], [0.1, 0.2]), 1.0, 1)
+        blowup_time_estimate(traj, 1.0, 1)
 
 
 @pytest.mark.parametrize("t_end", [float("nan"), float("inf"), 0.0, 5e-324])
@@ -170,6 +170,17 @@ def test_state_overflow_ends_the_integration():
     # gamma^400 overflows a Python complex power at the start state.
     with pytest.raises(ParameterError, match="at the initial state"):
         characteristic_flow(1.0, 400, None, 6.0, (0.0, 1.0))
+
+
+@pytest.mark.parametrize("m, first_bad", [(264, "5"), (400, "4.08203")])
+def test_rho_that_overflows_along_the_flow_is_rejected(m, first_bad):
+    # The state stays finite, but (Re z1)^m = (0.1 e^t)^m overflows from
+    # t = log(10^(308.25 / m + 1)): 4.99 for m = 264, 4.08 for m = 400.
+    # The samples are 5/256 apart.
+    model = ModelSpec(M_NONMINIMAL, get_germ("p1"), m=m)
+    z0 = surface_point(model, 0.1, 0.5 + 0j)
+    with pytest.raises(ParameterError, match=rf"not finite along the flow from t = {first_bad}$"):
+        integrate_field(linear_diag_field(1.0, 2.0), z0, (0.0, 5.0), model=model)
 
 
 def _reference_flows():

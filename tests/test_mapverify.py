@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from crlab import (
-    Compose,
     DegenerateMapError,
     DomainError,
     ModelSpec,
@@ -14,13 +13,11 @@ from crlab import (
     TranslateIm,
     check_modulus_derivative,
     check_reparam,
-    check_symmetries,
     default_grid,
     get_germ,
     invariance_residual,
-    simplify,
 )
-from crlab.mapverify import GeneralPair, eval_poly, verdict_report
+from crlab.mapverify import verdict_report
 
 P1 = ModelSpec(ONE_NONMINIMAL, get_germ("p1"))
 P2 = ModelSpec(ONE_NONMINIMAL, get_germ("p2"))
@@ -63,36 +60,6 @@ def test_image_outside_domain_raises():
         invariance_residual(P1, _NanImage(), default_grid())
 
 
-def test_compose_order_and_simplify():
-    m = Compose((Rotate(0.3), Rotate(0.4), Scale(2.0), Scale(0.5)))
-    s = simplify(m)
-    assert isinstance(s, Compose)
-    kinds = [type(p).__name__ for p in s.maps]
-    assert kinds == ["Rotate", "Scale"]
-    assert s.maps[0].theta == pytest.approx(0.7)
-    assert s.maps[1].s == 1.0
-    z1, z2 = m.apply(0.1 + 0.2j, 0.3)
-    w1, w2 = s.apply(0.1 + 0.2j, 0.3)
-    assert abs(z1 - w1) < 1e-16 and abs(z2 - w2) < 1e-16
-
-
-def test_simplify_collapses_to_single_map():
-    s = simplify(Compose((Rotate(0.1), Rotate(0.2))))
-    assert isinstance(s, Rotate)
-    assert s.theta == pytest.approx(0.3)
-
-
-def test_general_pair_validation():
-    with pytest.raises(DegenerateMapError):
-        GeneralPair(0.0, (0.0, 1.0))
-    with pytest.raises(DegenerateMapError):
-        GeneralPair(1.0, (0.5, 1.0))
-    gp = GeneralPair(2.0, (0.0, 1.0, 0.3))
-    z1, z2 = gp.apply(1.0, 0.2)
-    assert z1 == 2.0
-    assert z2 == pytest.approx(eval_poly((0.0, 1.0, 0.3), 0.2))
-
-
 def test_modulus_derivative_checks():
     assert check_modulus_derivative((0.0, np.exp(0.9j))) == 0.0
     assert check_modulus_derivative((0.0, 1.1)) == pytest.approx(0.1)
@@ -115,15 +82,6 @@ def test_reparam_detects_distortion():
     assert sup > 1e-3
 
 
-def test_symmetry_detectors():
-    rot1, par1 = check_symmetries(get_germ("p1"))
-    assert rot1 < 1e-15 and par1 == 0.0
-    rot2, par2 = check_symmetries(get_germ("p2"))
-    assert rot2 > 1e-3 and par2 > 1e-3
-    rot3, par3 = check_symmetries(get_germ("p3"))
-    assert rot3 > 1e-3 and par3 == 0.0
-
-
 def test_verdict_report_contents():
     rep = verdict_report(P1, Rotate(0.5), default_grid())
     assert rep["verdict"] == "pass"
@@ -132,20 +90,6 @@ def test_verdict_report_contents():
     assert abs(rep["delta_hat"] - 1.0) < 1e-8
     bad = verdict_report(P2, Rotate(np.pi / 2), default_grid())
     assert bad["verdict"] == "fail"
-
-
-@pytest.mark.parametrize(
-    "c, g2",
-    [
-        (float("nan"), (0.0, 1.0)),  # gave a NaN residual
-        (1.0, (0.0, float("nan"))),  # gave a finite residual
-        (float("inf"), (0.0, 1.0)),  # gave a RuntimeWarning
-        (1.0, (0.0, complex(1.0, float("inf")))),
-    ],
-)
-def test_general_pair_rejects_non_finite_coefficients(c, g2):
-    with pytest.raises(ParameterError, match="must be finite"):
-        GeneralPair(c, g2)
 
 
 @pytest.mark.parametrize("cls", [Scale, Rotate, TranslateIm])

@@ -1,6 +1,6 @@
 """Property tests: germ evaluation on and off the domain disk, the
-coefficient codecs of the solver and of VectorFieldPoly, and the tangency
-residual of one field and of a stack of them."""
+solver's coefficient codec, the tangency residual of one field and of a
+stack of them, and flows run forward and back."""
 
 import math
 
@@ -19,7 +19,11 @@ from crlab import (  # noqa: E402
     ONE_NONMINIMAL,
     VectorFieldPoly,
     assemble,
+    characteristic_flow,
     get_germ,
+    integrate_field,
+    linear_diag_field,
+    surface_point,
     tangency_residual,
     validation_grid,
 )
@@ -105,17 +109,6 @@ def test_coefficient_vector_round_trip(columns, data):
     assert field_from_vector(vector_from_field(f, columns), columns) == f
 
 
-monomials = st.tuples(st.integers(0, 20), st.integers(0, 20))
-coeffs = st.dictionaries(monomials, st.complex_numbers(allow_nan=False))
-
-
-@PROPERTY
-@given(c1=coeffs, c2=coeffs)
-def test_records_round_trip(c1, c2):
-    f = VectorFieldPoly(c1, c2)
-    assert VectorFieldPoly.from_records(f.to_records()) == f
-
-
 @st.composite
 def models(draw, family):
     gid = draw(st.sampled_from(CATALOG_IDS))
@@ -176,10 +169,14 @@ bounded = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=
 @given(data=st.data())
 def test_tangency_residual_is_real_linear(family, data):
     model = data.draw(models(family))
-    f, g = data.draw(fields_on(COLUMNS[1], bounded)), data.draw(fields_on(COLUMNS[1], bounded))
+    columns = COLUMNS[1]
+    f, g = data.draw(fields_on(columns, bounded)), data.draw(fields_on(columns, bounded))
     a, b = data.draw(st.floats(-1e3, 1e3)), data.draw(st.floats(-1e3, 1e3))
+    combination = field_from_vector(
+        a * vector_from_field(f, columns) + b * vector_from_field(g, columns), columns
+    )
     T, Z = validation_grid().samples()
-    lhs = tangency_residual(model, a * f + b * g, T, Z)
+    lhs = tangency_residual(model, combination, T, Z)
     rhs = a * tangency_residual(model, f, T, Z) + b * tangency_residual(model, g, T, Z)
     # Each residual sums at most 42 terms c z1^j z2^k g_i with |z1|, |z2| < 1
     # on the grid: roundoff stays below 1e-12 of sum |c| * max |g|.
@@ -187,3 +184,39 @@ def test_tangency_residual_is_real_linear(family, data):
     l1 = abs(a) * sum(map(abs, [*f.coeffs1.values(), *f.coeffs2.values()])) + abs(b) * sum(
         map(abs, [*g.coeffs1.values(), *g.coeffs2.values()]))
     assert np.max(np.abs(lhs - rhs)) <= 1e-12 * l1 * np.max(np.abs(g1) + np.abs(g2))
+
+
+tols = st.floats(-12.0, -6.0).map(lambda e: 10.0**e)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@PROPERTY
+@given(data=st.data())
+def test_field_flow_run_back_returns_to_its_start(family, data):
+    model = data.draw(models(family))
+    t = data.draw(st.floats(-model.t_bound, model.t_bound))
+    z2 = data.draw(polar(st.floats(0.05, 0.6)))
+    z0 = np.array(surface_point(model, t, z2))
+    f = linear_diag_field(data.draw(st.floats(-1.0, 1.0)), data.draw(st.floats(-2.0, 2.0)))
+    T, tol = data.draw(st.floats(0.1, 5.0)), data.draw(tols)
+    forward = integrate_field(f, z0, (0.0, T), tol=tol, model=model)
+    back = integrate_field(f, forward.final_state, (0.0, -T), tol=tol, model=model)
+    assert forward.status == back.status == "ok"  # |z2| is constant
+    # The error control is per step, so the return error grows with the
+    # span: it stays below 0.35 tol (1 + T) on these fields.
+    assert np.max(np.abs(back.final_state - z0)) <= tol * (1 + T)
+
+
+@PROPERTY
+@given(data=st.data())
+def test_characteristic_flow_run_back_returns_to_its_start(data):
+    # |b| <= 1, |z0| <= 0.4 and T <= 1 keep gamma in 0.03 < |gamma| < 0.7:
+    # inside the disk and away from the origin.
+    b = complex(data.draw(st.floats(-0.5, 0.5)), data.draw(st.floats(-0.8, 0.8)))
+    l = data.draw(st.sampled_from([1, 2]))
+    z0 = data.draw(polar(st.floats(0.05, 0.4)))
+    T, tol = data.draw(st.floats(0.1, 1.0)), data.draw(tols)
+    forward = characteristic_flow(b, l, None, z0, (0.0, T), tol=tol)
+    back = characteristic_flow(b, l, None, forward.final_state, (0.0, -T), tol=tol)
+    assert forward.status == back.status == "ok"
+    assert abs(back.final_state - z0) <= tol
