@@ -9,13 +9,14 @@ re-validated by direct residual evaluation on an independent grid.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import ConfigurationError, ParameterError
-from .fields import VectorFieldPoly, eval_rows, monomial_field, residual_on_frame
+from .fields import (
+    VectorFieldPoly, eval_rows, monomial_field, residual_on_frame, tangency_residual,
+)
 from .models import M_NONMINIMAL, RIGID, ModelSpec, surface_frame
 
 Column = tuple[int, int, int]  # (component, j, k): vector entries 2i (re), 2i+1 (im)
@@ -97,19 +98,25 @@ class TangencySystem:
 
 @dataclass
 class AutBasis:
+    """The null space as one block of coefficient rows: ``coefficients[i, c]``
+    is basis vector i's coefficient on the monomial ``columns[c]``."""
+
     singular_values: np.ndarray
-    basis: list
+    columns: tuple
+    coefficients: np.ndarray  # complex, one row per null vector
     labels: list
     gap: float
     status: str
     validation_residuals: list
-    projection_residuals: list = field(default_factory=list)
-    # nullspace's (columns, C): C[i] holds basis[i]'s coefficients; for canonicalize.
-    null_block: tuple = field(init=False, default=None, repr=False, compare=False)
+    projection_residuals: list
+
+    @property
+    def basis(self) -> list:
+        return _fields_from_rows(self.coefficients, self.columns)
 
     @property
     def dimension(self) -> int:
-        return len(self.basis)
+        return len(self.coefficients)
 
     @property
     def confident(self) -> bool:
@@ -218,25 +225,14 @@ def vector_from_field(f: VectorFieldPoly, columns) -> np.ndarray | None:
     return x
 
 
-@functools.lru_cache(maxsize=1)
-def _validation_frame(model: ModelSpec):
-    """Surface points and rho gradient on the validation grid, shared by every
-    field validated on ``model``; read-only because they are cached."""
-    frame = surface_frame(model, *validation_grid().samples())
-    for a in frame:
-        a.flags.writeable = False
-    return frame
-
-
 def validation_residual(model: ModelSpec, f: VectorFieldPoly) -> float:
     """Sup of |tangency residual| on the validation grid."""
-    z1, z2, g1, g2 = _validation_frame(model)
-    return float(np.max(np.abs(residual_on_frame(g1, g2, *f.eval(z1, z2)))))
+    return float(np.max(np.abs(tangency_residual(model, f, *validation_grid().samples()))))
 
 
 def _validation_residuals(model: ModelSpec, C: np.ndarray, columns) -> np.ndarray:
     """validation_residual of each row's field (``_fields_from_rows``) at once."""
-    z1, z2, g1, g2 = _validation_frame(model)
+    z1, z2, g1, g2 = surface_frame(model, *validation_grid().samples())
     # Sorted (j, k, i): the order VectorFieldPoly.eval adds terms in.
     orders = [sorted((j, k, i) for i, (c, j, k) in enumerate(columns) if c == p) for p in (1, 2)]
     h = [eval_rows([o[:2] for o in order], C[:, [o[2] for o in order]], z1, z2) for order in orders]
@@ -284,16 +280,16 @@ def nullspace(system: TangencySystem, tau: float = 1e-8) -> AutBasis:
     else:
         status = "unconfirmed"
 
-    basis = AutBasis(
+    return AutBasis(
         singular_values=s,
-        basis=_fields_from_rows(C, system.columns),
+        columns=system.columns,
+        coefficients=C,
         labels=[None] * len(C),
         gap=gap,
         status=status,
         validation_residuals=resids.tolist(),
+        projection_residuals=[],
     )
-    basis.null_block = (system.columns, C)
-    return basis
 
 
 # Candidate canonical fields with labels.  Each is one monomial with a unit
@@ -319,19 +315,17 @@ _DICTIONARY_KEYS = frozenset(
 def canonicalize(basis: AutBasis) -> AutBasis:
     """Label basis vectors by best-matching ``DICTIONARY`` entries.
 
-    If the matched entries span the same space (to ``SPAN_TOL``), they
-    replace the raw SVD vectors; otherwise unmatched directions are labeled
-    "unidentified" and the raw vectors are kept.
+    If the matched entries span the same space (to ``SPAN_TOL``), their
+    unit rows replace the raw SVD rows; otherwise unmatched directions are
+    labeled "unidentified" and the raw rows are kept.
     """
     dim = basis.dimension
     if dim == 0:
         return basis
-    if basis.null_block is None:
-        raise ParameterError("canonicalize labels the basis that nullspace returns")
 
     # B: the basis coefficients on every coordinate some basis field or
     # DICTIONARY entry uses, in sorted (component, j, k) order.
-    columns, C = basis.null_block
+    columns, C = basis.columns, basis.coefficients
     used = np.flatnonzero(C.any(axis=0))
     keys = sorted(_DICTIONARY_KEYS.union(columns[i] for i in used))
     pos = {key: p for p, key in enumerate(keys)}
@@ -348,23 +342,28 @@ def canonicalize(basis: AutBasis) -> AutBasis:
         v = vector_from_field(f, keys)
         resid = float(np.linalg.norm(v - Bo.T @ (Bo @ v)))
         if resid <= LABEL_TOL:
-            matched.append((label, f, np.flatnonzero(v)[0]))
+            matched.append((label, np.flatnonzero(v)[0]))
             proj_residuals.append(resid)
 
     if len(matched) == dim:
         # The matched entries span the coordinates they sit on, so Bo lies in
         # their span when its rows vanish on every other coordinate.
         outside = np.ones(len(keys) * 2, dtype=bool)
-        outside[[i for _, _, i in matched]] = False
+        outside[[i for _, i in matched]] = False
         if np.linalg.norm(Bo[:, outside], axis=1).max() <= SPAN_TOL:
+            # Entry i is 1 (even i) or 1j on keys[i // 2], a column: Bo, whose
+            # span holds the entry, is 0 on every other key.
+            unit = np.zeros((dim, len(columns)), dtype=complex)
+            for r, (_, i) in enumerate(matched):
+                unit[r, columns.index(keys[i // 2])] = 1j if i % 2 else 1.0
             return replace(
                 basis,
-                basis=[VectorFieldPoly(dict(f.coeffs1), dict(f.coeffs2)) for _, f, _ in matched],
-                labels=[label for label, _, _ in matched],
+                coefficients=unit,
+                labels=[label for label, _ in matched],
                 projection_residuals=proj_residuals,
             )
 
-    labels = [label for label, _, _ in matched][:dim]
+    labels = [label for label, _ in matched][:dim]
     labels += ["unidentified"] * (dim - len(labels))
     return replace(basis, labels=labels, projection_residuals=proj_residuals)
 

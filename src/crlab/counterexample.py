@@ -26,6 +26,10 @@ class CounterexampleParams:
             raise ParameterError("z20, C, t0 and r must be finite")
         if self.z20 == 0:
             raise ParameterError("z20 must be nonzero")
+        # The certificate's bounds scale with |z20|; past 1e8 they would no
+        # longer sit far below the increments it samples (|t| >= 1e-3).
+        if abs(self.z20) > 1e8:
+            raise ParameterError("|z20| must be at most 1e8")
         if self.t0 == 0:
             raise ParameterError("t0 must be nonzero real")
         if not (0 < self.r < abs(self.z20) / 4):
@@ -129,9 +133,11 @@ def certificate(params: CounterexampleParams) -> dict:
         germ, params.z20,
         radii=np.logspace(-3, np.log10(params.r / 2), 10),
     )
+    # The roundoff in both checks grows with the base point's size.
+    size = max(1.0, abs(params.z20))
     ok = (
-        inc_dev <= 1e-14
-        and all(v <= 1e-13 for v in disc.values())
+        inc_dev <= 1e-14 * size
+        and all(v <= 1e-13 * size for v in disc.values())
         and est.finite
     )
     return {

@@ -51,11 +51,6 @@ class FlowTrajectory:
     def final_state(self):
         return self.states[-1]
 
-    def z2_component(self) -> np.ndarray:
-        if self.states.ndim == 1:
-            return self.states
-        return self.states[:, 1]
-
     def to_csv(self, path):
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
@@ -414,7 +409,7 @@ def log_p_diagnostic(germ: SmoothGerm, traj: FlowTrajectory):
     |P| below the underflow floor are excluded from the fit; fewer than 10
     valid samples raises InsufficientDataError.
     """
-    z = traj.z2_component()
+    z = traj.states if traj.states.ndim == 1 else traj.states[:, 1]
     p = np.abs(np.asarray(germ(z), dtype=float))
     valid = p > UNDERFLOW_FLOOR
     u = np.full(len(z), np.nan)

@@ -44,14 +44,11 @@ class SmoothGerm:
         return self._evaluate(self.wirt_fn, z, complex)
 
     def _evaluate(self, fn, z, scalar):
-        """fn on an array z, or scalar(fn(z)) on a scalar, once z is in the disk."""
-        if np.ndim(z):
-            z = np.asarray(z, dtype=complex)
-            self.check_inside(z)
-            return fn(z)
-        z = complex(z)
+        """fn on z once z is in the disk; scalar(...) of it on a scalar z."""
+        z = np.asarray(z, dtype=complex)
         self.check_inside(z)
-        return scalar(fn(z))
+        out = fn(z)
+        return out if z.ndim else scalar(out)
 
     def check_inside(self, z):
         """Raise DomainError, naming the first point of z outside the disk."""

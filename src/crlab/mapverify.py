@@ -77,12 +77,12 @@ def eval_poly(coeffs, z):
     return total
 
 
-def invariance_residual(model: ModelSpec, mp, grid) -> float:
-    """max |rho(f(p))| over the on-surface samples of the grid."""
+def invariance_residual(model: ModelSpec, mp, grid) -> tuple[float, float]:
+    """max |rho(f(p))| over the on-surface samples of the grid, and max |w1|
+    over their images (w1, w2) = f(p)."""
     T, Z2 = grid.samples()
-    z1, z2 = surface_point(model, T, Z2)
-    w1, w2 = mp.apply(z1, z2)
-    return float(np.max(np.abs(rho(model, w1, w2))))
+    w1, w2 = mp.apply(*surface_point(model, T, Z2))
+    return float(np.max(np.abs(rho(model, w1, w2)))), float(np.max(np.abs(w1)))
 
 
 def check_reparam(germ: SmoothGerm, g2_coeffs, grid):
@@ -113,9 +113,11 @@ def check_modulus_derivative(g2_coeffs) -> float:
 def verdict_report(model: ModelSpec, mp, grid) -> dict:
     """JSON-ready verdict for one map candidate."""
     out: dict = {"map": repr(mp), "model": model.describe()}
-    resid = invariance_residual(model, mp, grid)
+    resid, w1_max = invariance_residual(model, mp, grid)
     out["residual"] = resid
-    out["verdict"] = "pass" if resid <= 1e-12 else "fail"
+    # rho(f(p)) carries roundoff of order eps |w1|, and z1 -> s z1 maps a
+    # one-nonminimal model to itself at every s.
+    out["verdict"] = "pass" if resid <= 1e-12 * max(1.0, w1_max) else "fail"
     if hasattr(mp, "g2_coeffs"):
         g2_coeffs = mp.g2_coeffs()
         out["modulus_defect"] = check_modulus_derivative(g2_coeffs)

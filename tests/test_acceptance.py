@@ -216,9 +216,9 @@ def test_criterion_10_map_verification():
     p1 = ModelSpec(ONE_NONMINIMAL, get_germ("p1"))
     p2 = ModelSpec(ONE_NONMINIMAL, get_germ("p2"))
     p3 = ModelSpec(ONE_NONMINIMAL, get_germ("p3"))
-    r_rot = invariance_residual(p1, Rotate(0.7), g)
-    r_tr = invariance_residual(p3, TranslateIm(0.1), g)
-    r_bad = invariance_residual(p2, Rotate(np.pi / 2), g)
+    r_rot = invariance_residual(p1, Rotate(0.7), g)[0]
+    r_tr = invariance_residual(p3, TranslateIm(0.1), g)[0]
+    r_bad = invariance_residual(p2, Rotate(np.pi / 2), g)[0]
     mod = check_modulus_derivative((0.0, np.exp(0.7j)))
     sample = [0.05 + 0.3 * np.exp(2j * np.pi * q / 40) for q in range(40)]
     _, delta = check_reparam(get_germ("p1"), (0.0, np.exp(0.7j)), sample)

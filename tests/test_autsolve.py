@@ -270,8 +270,7 @@ def test_validation_residual_equals_tangency_residual(name, N):
 
 
 def test_validation_residual_is_per_model_and_grid():
-    # The surface frame is reused between calls; switching the model must
-    # not hand back another one's frame.
+    # Alternating models must each get their own surface frame.
     f = monomial_field(1, 1, 0, 1j)
     g = get_germ("p1")
     a = ModelSpec(ONE_NONMINIMAL, g)
@@ -319,8 +318,26 @@ def test_m_nonminimal_is_confident_only_where_right(m):
         assert basis.labels == ["i z2 dz2"]
 
 
-def test_canonicalize_needs_the_nullspace_block():
+@pytest.mark.parametrize("germ, family", [("p1", ONE_NONMINIMAL), ("control", RIGID)])
+def test_canonicalize_relabels_its_own_output(germ, family):
+    # canonicalize reads the basis's coefficient block, which its own output
+    # carries too.  p1's labelled rows are exact unit rows, whose dictionary
+    # entries project with residual 0; the hyperquadric keeps its raw rows.
+    labeled, report = solve_model(ModelSpec(family, get_germ(germ)))
+    again = canonicalize(labeled)
+    assert again.labels == report["labels"]
+    assert [f.to_records() for f in again.basis] == report["basis"]
+    if germ == "p1":
+        assert again.labels == ["z1 dz1", "i z2 dz2"]
+        assert again.projection_residuals == [0.0, 0.0]
+    else:
+        assert again.projection_residuals == report["projection_residuals"]
+
+
+def test_replace_keeps_the_coefficient_block():
     basis = nullspace(assemble(ModelSpec(ONE_NONMINIMAL, get_germ("p1")), N=5))
-    assert canonicalize(basis).labels == ["z1 dz1", "i z2 dz2"]
-    with pytest.raises(ParameterError, match="nullspace"):
-        canonicalize(replace(basis))
+    copy = replace(basis)
+    assert copy.coefficients is basis.coefficients
+    assert copy.columns == basis.columns
+    assert copy.basis == basis.basis
+    assert canonicalize(copy).labels == ["z1 dz1", "i z2 dz2"]

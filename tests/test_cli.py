@@ -42,6 +42,23 @@ def test_verify_pass_and_fail_exit_codes(tmp_path):
     assert verdict["verdict"] == "fail"
 
 
+@pytest.mark.parametrize("s", ["1e6", "-1e6", "1e12"])
+def test_verify_large_z1_scale_passes(tmp_path, s):
+    # z1 -> s z1 maps a one-nonminimal model to itself at every real s; the
+    # residual's roundoff grows with |w1|, and so does the bound.
+    assert run(["verify", "--germ", "p1", "--map", f"scale:{s}"], tmp_path) == 0
+    verdict = json.loads((tmp_path / "verify_verdict.json").read_text())
+    assert verdict["verdict"] == "pass"
+    assert verdict["residual"] > 1e-12
+
+
+def test_verify_large_z1_scale_fails_on_m_nonminimal(tmp_path):
+    # There rho(s z1, z2) = s Im z1 - s^m (Re z1)^m P: not a symmetry.
+    args = ["verify", "--germ", "p1", "--family", "m-nonminimal", "--map", "scale:1e6"]
+    assert run(args, tmp_path) == 1
+    assert json.loads((tmp_path / "verify_verdict.json").read_text())["verdict"] == "fail"
+
+
 def test_verify_unknown_map_is_invalid(tmp_path):
     assert run(["verify", "--map", "shear:1.0"], tmp_path) == 2
 
@@ -69,6 +86,25 @@ def test_counterexample_certificate(tmp_path):
     assert run(["counterexample"], tmp_path) == 0
     cert = json.loads((tmp_path / "counterexample_certificate.json").read_text())
     assert cert["verdict"] == "pass"
+
+
+@pytest.mark.parametrize("flag, value", [("--z20-re", "1e3"), ("--z20-re", "1e5"),
+                                         ("--z20-im", "1e3"), ("--z20-re", "1e8")])
+def test_counterexample_far_base_point_passes(tmp_path, flag, value):
+    # The construction holds for every z20 != 0; its roundoff grows with |z20|.
+    assert run(["counterexample", flag, value], tmp_path) == 0
+    cert = json.loads((tmp_path / "counterexample_certificate.json").read_text())
+    assert cert["verdict"] == "pass"
+    assert cert["order_at_z20"] == 1
+
+
+@pytest.mark.parametrize("flag, value", [("--z20-re", "1e16"), ("--z20-re", "1e308"),
+                                         ("--z20-im", "1e9")])
+def test_counterexample_base_point_beyond_1e8_is_rejected(tmp_path, flag, value):
+    # Past |z20| = 1e8 the roundoff-scaled bounds stop resolving the
+    # increments, so no certificate is written, let alone a passing one.
+    assert run(["counterexample", flag, value], tmp_path) == 2
+    assert not (tmp_path / "counterexample_certificate.json").exists()
 
 
 def test_import_leaves_scipy_integrate_unloaded():

@@ -29,6 +29,8 @@ def test_parameter_validation():
         CounterexampleParams(r=0.2)  # violates r < |z20|/4
     with pytest.raises(ParameterError):
         CounterexampleParams(z20=2.0, r=0.4, t0=0.5)  # violates 2r < |t0|
+    with pytest.raises(ParameterError, match="1e8"):
+        CounterexampleParams(z20=1e8 * (1 + 1j))
     for bad in ({"C": float("nan")}, {"t0": float("inf")}, {"z20": complex(0.5, float("nan"))}):
         with pytest.raises(ParameterError, match="finite"):
             CounterexampleParams(**bad)
