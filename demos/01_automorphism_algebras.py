@@ -1,9 +1,10 @@
 """Compute the infinitesimal CR automorphism algebras of the catalog models.
 
 Each model is a real hypersurface in C^2 built from a smooth germ P that
-vanishes to infinite order at the origin.  The solver samples the tangency
-identity on a (t, z2) grid, extracts the numerical null space, and labels
-the basis against a dictionary of canonical fields.
+vanishes to infinite order at the origin.  The solver expands the tangency
+identity exactly in the surface parameter t at sampled z2 points, extracts
+the numerical null space one t-degree block at a time, and labels the basis
+against a dictionary of canonical fields.
 """
 
 from crlab import (

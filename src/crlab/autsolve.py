@@ -1,10 +1,14 @@
-"""Sampled tangency system and numerical null-space extraction.
+"""Exact-in-t tangency system and numerical null-space extraction.
 
-The tangency identity is linear over R in the real and imaginary parts of
-the field coefficients.  Sampling it on a (t, z2) grid gives a rectangular
-matrix whose numerical null space is the space of infinitesimal CR
-automorphisms at the chosen jet order.  Every reported basis vector is
-re-validated by direct residual evaluation on an independent grid.
+On the model surface the tangency residual of a polynomial field is a real
+polynomial in the surface parameter t whose coefficients depend on z2 only,
+and it is linear over R in the real and imaginary parts of the field
+coefficients.  One row per (t-degree, z2 point) gives a rectangular matrix
+whose numerical null space is the space of infinitesimal CR automorphisms at
+the chosen jet order.  Columns that share no t-degree share no row, so the
+matrix is block diagonal, and each block is factored on its own.  Every
+reported basis vector is re-validated, exactly in t, at independent z2
+points.
 """
 
 from __future__ import annotations
@@ -14,10 +18,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigurationError, ParameterError
-from .fields import (
-    VectorFieldPoly, eval_rows, monomial_field, residual_on_frame, tangency_residual,
-)
-from .models import M_NONMINIMAL, RIGID, ModelSpec, surface_frame
+from .fields import VectorFieldPoly, monomial_field
+from .models import ModelSpec, surface_polys
 
 Column = tuple[int, int, int]  # (component, j, k): vector entries 2i (re), 2i+1 (im)
 
@@ -26,6 +28,8 @@ GAP_AMBIGUOUS = 10.0
 CERT_TOL = 1e-8
 LABEL_TOL = 1e-4
 SPAN_TOL = 1e-8
+# Entries of the packed system above which assemble refuses a jet order.
+MAX_ENTRIES = 1 << 23
 
 
 @dataclass(frozen=True)
@@ -54,9 +58,6 @@ class SampleGrid:
         T, Z = np.meshgrid(t, z, indexing="ij")
         return T.ravel(), Z.ravel()
 
-    def describe(self) -> dict:
-        return {"n_t": len(self.t_values), "n_z2": len(self.z2_values), "n": self.n}
-
 
 def shell_points(radii, n_angles, phase=0.0):
     pts = []
@@ -74,26 +75,60 @@ def default_grid() -> SampleGrid:
 
 def validation_grid() -> SampleGrid:
     # Deliberately disjoint from default_grid: different t values, shell
-    # radii and angular phase.
+    # radii and angular phase.  The solver validates at its z2 values.
     t = tuple(s * v for v in (0.04, 0.11, 0.19, 0.28) for s in (1, -1))
     z2 = shell_points((0.2, 0.3, 0.4, 0.5), 17, phase=0.11)
     return SampleGrid(t_values=t, z2_values=z2)
 
 
+SOLVER_SHELLS = (0.15, 0.25, 0.35, 0.45, 0.55)
+
+
+def solver_points(N: int) -> tuple:
+    """The solver's z2 points at jet order N: 2N + 8 angles resolve every
+    angular frequency up to N + 1 that a residual row holds."""
+    return shell_points(SOLVER_SHELLS, 2 * N + 8)
+
+
+@dataclass(frozen=True)
+class Block:
+    """The rows of the t-degrees ``degrees`` (degree-major, then z2 point):
+    ``matrix[rows, :len(unknowns)]`` against the real ``unknowns``."""
+
+    degrees: tuple
+    rows: slice
+    unknowns: np.ndarray
+
+
 @dataclass(frozen=True)
 class TangencySystem:
+    """The block-diagonal system, packed: row r of block b holds its entries
+    on b's unknowns only, left-aligned."""
+
     matrix: np.ndarray = field(repr=False)
     columns: tuple
     model: ModelSpec
-    grid: SampleGrid
+    points: tuple
+    blocks: tuple
+
+    @property
+    def scale(self) -> np.ndarray:
+        """Unknown i of the matrix is the field coefficient entry i divided by
+        scale[i] = 1 / max|z2|^k: column (j, k) holds (z2 / max|z2|)^k."""
+        r = np.max(np.abs(np.asarray(self.points)))
+        return np.repeat([r ** -k for _, _, k in self.columns], 2)
 
     @property
     def n_unknowns(self) -> int:
-        return self.matrix.shape[1]
+        return 2 * len(self.columns)
 
     @property
     def n_samples(self) -> int:
         return self.matrix.shape[0]
+
+    def describe(self) -> dict:
+        n_t = sum(len(b.degrees) for b in self.blocks)
+        return {"n_t": n_t, "n_z2": len(self.points), "n": self.n_samples}
 
 
 @dataclass
@@ -133,63 +168,124 @@ def _monomials(N: int, include_origin: bool):
     ]
 
 
-def _require_curved(model: ModelSpec, grid: SampleGrid, bound: float) -> None:
-    """Reject a model whose samples cannot tell it from the Levi-flat P = 0,
-    whose algebra is infinite-dimensional: P enters rho on the surface as
-    t P, t^m P (m-nonminimal) or P (rigid), and that term is at most ``bound``
-    (0 in assemble, tau in nullspace) at every sample."""
-    power = {RIGID: 0, M_NONMINIMAL: model.m}.get(model.family, 1)
-    p_max = np.max(np.abs(model.germ(np.asarray(grid.z2_values))))
-    term = float(np.max(np.abs(grid.t_values)) ** power * p_max)
-    if term <= bound:
-        name = {0: "P", 1: "t P"}.get(power, f"t^{power} P")
+def _require_curved(model: ModelSpec, points, bound: float) -> None:
+    """Reject a model whose points cannot tell it from the Levi-flat P = 0,
+    whose algebra is infinite-dimensional: max |P| over the z2 points is at
+    most ``bound`` (0 in assemble, tau in nullspace)."""
+    p_max = float(np.max(np.abs(model.germ(np.asarray(points)))))
+    if p_max <= bound:
         raise ParameterError(
             "the solver requires P not identically zero on a neighborhood of 0; "
-            f"germ '{model.germ.id}' gives max |{name}| = {term:.3g} over the samples, "
+            f"germ '{model.germ.id}' gives max |P| = {p_max:.3g} over the z2 points, "
             f"not above {bound:.3g}: they cannot tell the model from the Levi-flat one"
         )
+
+
+def _poly_mul(a: dict, b: dict) -> dict:
+    out = {}
+    for da, va in a.items():
+        for db, vb in b.items():
+            d = da + db
+            out[d] = out[d] + va * vb if d in out else va * vb
+    return out
+
+
+def _column_polys(model: ModelSpec, z, pairs) -> dict:
+    """g_comp z1^j as a polynomial in t at the points z, for each (comp, j)."""
+    z1, g1, g2 = surface_polys(model, z)
+    powers = [{0: np.ones_like(z)}]
+    for _ in range(max((j for _, j in pairs), default=0)):
+        powers.append(_poly_mul(powers[-1], z1))
+    return {(comp, j): _poly_mul(g1 if comp == 1 else g2, powers[j]) for comp, j in pairs}
+
+
+def _weight_blocks(polys: dict, columns) -> list:
+    """Columns joined when their t-degree supports meet, as (sorted degrees,
+    column indices) in order of the smallest degree.  The supports are the
+    polynomials' keys, so a coefficient that is 0 at some point splits no
+    block."""
+    blocks: list = []  # [degree set, column indices]
+    for i, (comp, j, _) in enumerate(columns):
+        support = set(polys[(comp, j)])
+        meet = [b for b in blocks if b[0] & support]
+        blocks = [b for b in blocks if not b[0] & support]
+        cols = sorted(sum((b[1] for b in meet), [i]))
+        blocks.append([support.union(*(b[0] for b in meet)), cols])
+    return sorted((sorted(degrees), cols) for degrees, cols in blocks)
 
 
 def assemble(
     model: ModelSpec,
     N: int,
-    grid: SampleGrid | None = None,
+    points=None,
     vanish_at_origin: bool = True,
 ) -> TangencySystem:
-    """Rows = residual functionals at grid samples, columns = unit basis
-    fields (re/im part of each monomial coefficient, both components)."""
+    """Rows = real parts of the residual's t-coefficients at the z2 points
+    (``solver_points(N)`` by default), columns = unit basis fields (re/im
+    part of each monomial coefficient, both components), z2^k scaled by
+    1 / max|z2|^k."""
     if N < 1:
         raise ParameterError("jet order N must be >= 1")
-    if grid is None:
-        grid = default_grid()
-    _require_curved(model, grid, 0.0)
+    if points is not None:
+        points = tuple(complex(z) for z in points)
+    # Each block has a row per z2 point for each of its t-degrees, so the
+    # packed system has at least (points) x (2 x 2 x monomials) entries:
+    # check that before building anything that grows with N.
+    n_points = len(SOLVER_SHELLS) * (2 * N + 8) if points is None else len(points)
+    least = n_points * 2 * ((N + 1) * (N + 2) - 2 * vanish_at_origin)
+    if least > MAX_ENTRIES:
+        raise ConfigurationError(
+            f"jet order {N} gives a system of at least {least} entries, above {MAX_ENTRIES}"
+        )
+    points = solver_points(N) if points is None else points
+    if not np.all(np.isfinite(points)) or any(z == 0 for z in points):
+        raise ParameterError("z2 points must be finite and avoid the origin exactly")
+    _require_curved(model, points, 0.0)
 
     monos = _monomials(N, include_origin=not vanish_at_origin)
     columns: tuple[Column, ...] = tuple((comp, j, k) for comp in (1, 2) for (j, k) in monos)
-    n_unknowns = 2 * len(columns)
-    if grid.n < 4 * n_unknowns:
+    pairs = {(comp, j) for comp, j, _ in columns}
+    # The supports alone, from the polynomials at no point.
+    blocks = _weight_blocks(_column_polys(model, np.empty(0, complex), pairs), columns)
+    n_rows = len(points) * sum(len(degrees) for degrees, _ in blocks)
+    width = 2 * max(len(cols) for _, cols in blocks)
+    if n_rows * width > MAX_ENTRIES:
         raise ConfigurationError(
-            f"grid has {grid.n} samples for {n_unknowns} unknowns; "
-            "need at least a 4x oversampling"
+            f"jet order {N} gives a {n_rows} x {width} system, above {MAX_ENTRIES} entries"
         )
+    for degrees, cols in blocks:
+        if len(degrees) * len(points) < 4 * len(cols):
+            raise ConfigurationError(
+                f"the block of t-degrees {degrees} has {len(degrees) * len(points)} rows "
+                f"for {2 * len(cols)} unknowns; need at least a 2x oversampling"
+            )
 
-    z1, z2, g1, g2 = surface_frame(model, *grid.samples())
+    z = np.asarray(points)
+    r = np.max(np.abs(z))
+    polys = _column_polys(model, z, pairs)
+    zk = {k: (z / r) ** k for k in {k for *_, k in columns}}
+    mat = np.zeros((n_rows, width))
+    packed, start = [], 0
+    for degrees, cols in blocks:
+        index = {d: start + i * len(z) for i, d in enumerate(degrees)}
+        for c, i in enumerate(cols):
+            comp, j, k = columns[i]
+            for d, v in polys[(comp, j)].items():
+                b = v * zk[k]
+                mat[index[d] : index[d] + len(z), 2 * c] = b.real   # coefficient 1
+                mat[index[d] : index[d] + len(z), 2 * c + 1] = -b.imag  # coefficient i
+        rows = slice(start, start + len(degrees) * len(z))
+        unknowns = np.ravel([(2 * i, 2 * i + 1) for i in cols])
+        packed.append(Block(degrees=tuple(degrees), rows=rows, unknowns=unknowns))
+        start = rows.stop
 
-    # Complex response of each monomial column: g_comp * z1^j z2^k.
-    powers1 = {j: z1**j for j in {j for j, _ in monos}}
-    powers2 = {k: z2**k for k in {k for _, k in monos}}
-    mat = np.empty((n_unknowns, grid.n))  # transposed below: each column contiguous
-    for ci, (comp, j, k) in enumerate(columns):
-        base = (g1 if comp == 1 else g2) * powers1[j] * powers2[k]
-        mat[2 * ci] = np.real(base)         # coefficient 1
-        mat[2 * ci + 1] = -np.imag(base)    # coefficient i
-    mat = mat.T
-
-    weights = np.max(np.abs(mat), axis=1)
+    # max |row| without an |mat| copy
+    weights = np.maximum(mat.max(axis=1), -mat.min(axis=1))
     weights[weights == 0.0] = 1.0
-    mat = mat / weights[:, None]
-
-    return TangencySystem(matrix=mat, columns=columns, model=model, grid=grid)
+    mat /= weights[:, None]
+    return TangencySystem(
+        matrix=mat, columns=columns, model=model, points=points, blocks=tuple(packed)
+    )
 
 
 def field_from_vector(x: np.ndarray, columns) -> VectorFieldPoly:
@@ -226,38 +322,71 @@ def vector_from_field(f: VectorFieldPoly, columns) -> np.ndarray | None:
 
 
 def validation_residual(model: ModelSpec, f: VectorFieldPoly) -> float:
-    """Sup of |tangency residual| on the validation grid."""
-    return float(np.max(np.abs(tangency_residual(model, f, *validation_grid().samples()))))
+    """Max |t-coefficient| of f's tangency residual at the validation z2 points."""
+    terms = [((comp, *key), v) for comp, c in enumerate((f.coeffs1, f.coeffs2), 1)
+             for key, v in c.items()]
+    C = np.array([[v for _, v in terms]], complex)
+    return float(_validation_residuals(model, C, [column for column, _ in terms])[0])
 
 
 def _validation_residuals(model: ModelSpec, C: np.ndarray, columns) -> np.ndarray:
-    """validation_residual of each row's field (``_fields_from_rows``) at once."""
-    z1, z2, g1, g2 = surface_frame(model, *validation_grid().samples())
-    # Sorted (j, k, i): the order VectorFieldPoly.eval adds terms in.
-    orders = [sorted((j, k, i) for i, (c, j, k) in enumerate(columns) if c == p) for p in (1, 2)]
-    h = [eval_rows([o[:2] for o in order], C[:, [o[2] for o in order]], z1, z2) for order in orders]
-    return np.max(np.abs(residual_on_frame(g1, g2, *h)), axis=1)
+    """validation_residual of each row's field (``_fields_from_rows``) at once.
+
+    Terms are added per t-degree in sorted (component, j, k) order, so a
+    field's bits do not depend on the zero columns stacked beside it."""
+    z = np.asarray(validation_grid().z2_values)
+    polys = _column_polys(model, z, {(comp, j) for comp, j, _ in columns})
+    zk = {k: z**k for k in {k for *_, k in columns}}
+    totals: dict = {}
+    for i in sorted(range(len(columns)), key=columns.__getitem__):
+        comp, j, k = columns[i]
+        a, b = C[:, i, None].real, C[:, i, None].imag
+        for d, v in polys[(comp, j)].items():
+            B = v * zk[k]
+            term = a * B.real - b * B.imag
+            totals[d] = totals[d] + term if d in totals else term
+    out = np.zeros(len(C))
+    for term in totals.values():
+        out = np.maximum(out, np.max(np.abs(term), axis=1))
+    return out
+
+
+def _r_factor(A: np.ndarray) -> np.ndarray:
+    """R of A = QR for A with at least as many rows as columns n, factored in
+    chunks of 4n rows: each chunk after the first is 3n new rows under the R
+    so far, so no QR copies more than 4n rows."""
+    n = A.shape[1]
+    R = np.linalg.qr(A[: 4 * n], mode="r")
+    for i in range(4 * n, len(A), 3 * n):
+        R = np.linalg.qr(np.vstack((R, A[i : i + 3 * n])), mode="r")
+    return R
 
 
 def nullspace(system: TangencySystem, tau: float = 1e-8) -> AutBasis:
-    """Right singular vectors below the relative threshold tau, certified on
-    an independent validation grid.
+    """Right singular vectors below the relative threshold tau, block by
+    block, certified exactly in t at independent z2 points.
 
     tau must lie in [max(m, n) * eps, 1) for an m x n system: below that
     roundoff floor (numpy's ``matrix_rank`` tolerance) no singular value
-    can be told from zero.  A model whose P-term is at most tau at every
-    sample is rejected (see ``_require_curved``).
+    can be told from zero.  ``confident`` also needs every null singular
+    value at or below that floor.  A model whose P is at most tau at every
+    z2 point is rejected (see ``_require_curved``).
     """
-    floor = max(system.matrix.shape) * np.finfo(float).eps
+    floor = max(system.n_samples, system.n_unknowns) * np.finfo(float).eps
     if not (floor <= tau < 1):
         raise ParameterError(f"tau must be in [{floor:.3g}, 1) for this system")
-    _require_curved(system.model, system.grid, tau)
-    if system.n_samples < system.n_unknowns:
-        # The thin SVD would return fewer right singular vectors than unknowns.
-        raise ConfigurationError("the system needs at least as many samples as unknowns")
-    # assemble's m >= 4n is past dgesdd's m >> n crossover, where it factors A = QR
-    # and takes the SVD of R too; R's SVD gives the same bits without forming U.
-    _, s, vt = np.linalg.svd(np.linalg.qr(system.matrix, mode="r"), full_matrices=False)
+    _require_curved(system.model, system.points, tau)
+    factors = []
+    for block in system.blocks:
+        A = system.matrix[block.rows, : len(block.unknowns)]
+        if A.shape[0] < A.shape[1]:
+            # The thin SVD would return fewer right singular vectors than unknowns.
+            raise ConfigurationError("each block needs at least as many samples as unknowns")
+        # R's SVD gives the singular values and right vectors of A without forming U.
+        factors.append(np.linalg.svd(_r_factor(A), full_matrices=False)[1:])
+    s = np.concatenate([sb for sb, _ in factors])
+    order = np.argsort(-s, kind="stable")
+    s = s[order]
     cutoff = tau * (s[0] if s[0] > 0 else 1.0)
     null_mask = s <= cutoff
     s_above = s[~null_mask]
@@ -267,15 +396,25 @@ def nullspace(system: TangencySystem, tau: float = 1e-8) -> AutBasis:
     else:
         gap = float(s_above.min() / max(s_below.max(), np.finfo(float).tiny))
 
-    C = (vt[null_mask] + 0.0).view(complex)  # as in field_from_vector
+    # Each null vector on its block's unknowns, in the merged order.
+    starts = np.cumsum([0] + [len(sb) for sb, _ in factors])
+    V = np.zeros((len(s_below), system.n_unknowns))
+    for row, i in enumerate(order[null_mask]):
+        b = np.searchsorted(starts, i, side="right") - 1
+        V[row, system.blocks[b].unknowns] = factors[b][1][i - starts[b]]
+    C = (V * system.scale + 0.0).view(complex)  # as in field_from_vector
     resids = _validation_residuals(system.model, C, system.columns)
-    # |C| row maxima are the basis fields' max_coefficient().
+    # |C| row maxima are the basis fields' max_coefficient().  A field tangent
+    # only to the Levi-flat model P = 0 leaves a residual of the order of a
+    # power of P, so the bound scales with P where P is small.
+    p_max = np.max(np.abs(system.model.germ(np.asarray(validation_grid().z2_values))))
     scale = np.maximum(np.abs(C).max(axis=1, initial=0.0), np.finfo(float).tiny)
-    certified = resids <= CERT_TOL * scale
+    certified = resids <= CERT_TOL * min(1.0, p_max) * scale
+    at_roundoff = s_below.max(initial=0.0) <= floor * s[0]
 
     if gap < GAP_AMBIGUOUS:
         status = "ambiguous"
-    elif gap >= GAP_CONFIDENT and all(certified):
+    elif gap >= GAP_CONFIDENT and all(certified) and at_roundoff:
         status = "confident"
     else:
         status = "unconfirmed"
@@ -385,7 +524,7 @@ def solve_model(
         "vanish_at_origin": vanish_at_origin,
         "n_samples": system.n_samples,
         "n_unknowns": system.n_unknowns,
-        "grid": system.grid.describe(),
+        "grid": system.describe(),
         "singular_values": [float(x) for x in labeled.singular_values],
         "dimension": labeled.dimension,
         "gap": labeled.gap if np.isfinite(labeled.gap) else None,

@@ -105,10 +105,5 @@ def tangency_residual(model: ModelSpec, f: VectorFieldPoly, t, z2):
     real part of the field is tangent to the model along the sampled set.
     """
     z1, z2c, g1, g2 = surface_frame(model, t, z2)
-    return residual_on_frame(g1, g2, *f.eval(z1, z2c))
-
-
-def residual_on_frame(g1, g2, h1, h2):
-    """Re[g1 h1 + g2 h2]: the residual of field values (h1, h2), or of a
-    stack of them (a row per field), where the rho gradient is (g1, g2)."""
+    h1, h2 = f.eval(z1, z2c)
     return np.real(g1 * h1 + g2 * h2)

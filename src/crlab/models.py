@@ -101,6 +101,23 @@ def surface_frame(model: ModelSpec, t, z2):
     return z1, z2c, g1, g2
 
 
+def surface_polys(model: ModelSpec, z2):
+    """z1, g1 and g2 of ``surface_frame`` as polynomials in t: each is a dict
+    {t-degree: coefficient at the points z2}.  t is real and P is real, so
+    the residual Re[g1 h1 + g2 h2] of a polynomial field is a polynomial in t
+    whose coefficients are the real parts of those of g1 h1 + g2 h2."""
+    z2 = np.asarray(z2, dtype=complex)
+    p = model.germ(z2)
+    pw = model.germ.wirt(z2)
+    one = np.ones_like(z2)
+    if model.family == ONE_NONMINIMAL:  # z1 = t (i - P)
+        return {1: 1j - p}, {0: 0.5 + p / 2j}, {1: pw}
+    if model.family == M_NONMINIMAL:  # z1 = t + i t^m P
+        m = model.m
+        return {1: one, m: 1j * p}, {0: one / 2j, m - 1: -m * p / 2.0}, {m: -pw}
+    return {0: -p + 0j, 1: 1j * one}, {0: 0.5 * one}, {0: pw}  # z1 = -P + i t
+
+
 def _check_t(model: ModelSpec, t):
     if not np.all(np.abs(t) <= model.t_bound * (1 + 1e-12)):  # NaN fails too
         raise DomainError(f"t must be finite with |t| <= the sample bound {model.t_bound}")

@@ -29,9 +29,14 @@ from crlab.autsolve import (
     DICTIONARY,
     LABEL_TOL,
     SPAN_TOL,
+    _r_factor,
     field_from_vector,
+    solver_points,
     vector_from_field,
 )
+from crlab.models import surface_polys
+
+EPS = np.finfo(float).eps
 
 
 def test_grid_rejects_origin_in_z2():
@@ -51,16 +56,65 @@ def test_assemble_shapes_and_normalization():
     sys5 = assemble(model, N=5)
     # degrees 0..5 minus the constant monomial, re+im, two components
     assert sys5.n_unknowns == 2 * 2 * (21 - 1)
-    assert sys5.matrix.shape == (default_grid().n, sys5.n_unknowns)
+    # 5 shells of 2N + 8 angles; one block per t-degree d = 0..6 (weight
+    # d - 1), holding component 1 with j = d and component 2 with j = d - 1.
+    n_z2 = len(solver_points(5))
+    assert sys5.points == solver_points(5) and n_z2 == 5 * 18
+    assert [b.degrees for b in sys5.blocks] == [(d,) for d in range(7)]
+    for b in sys5.blocks:
+        d = b.degrees[0]
+        assert {sys5.columns[i // 2][:2] for i in b.unknowns} <= {(1, d), (2, d - 1)}
+        assert b.rows.stop - b.rows.start == n_z2 >= 2 * len(b.unknowns)
+    unknowns = np.concatenate([b.unknowns for b in sys5.blocks])
+    assert sorted(unknowns) == list(range(sys5.n_unknowns))
+    width = max(len(b.unknowns) for b in sys5.blocks)
+    assert sys5.matrix.shape == (sys5.n_samples, width) == (7 * n_z2, width)
+    assert sys5.describe() == {"n_t": 7, "n_z2": n_z2, "n": 7 * n_z2}
     row_max = np.max(np.abs(sys5.matrix), axis=1)
     assert np.allclose(row_max[row_max > 0], 1.0)
+    # Column (j, k) is scaled by 1 / max|z2|^k, undone by ``scale``.
+    assert np.allclose(sys5.scale, [0.55 ** -k for _, _, k in sys5.columns for _ in "ri"])
+
+
+@pytest.mark.parametrize(
+    "family, m, n_blocks",
+    [(ONE_NONMINIMAL, 1, 7), (RIGID, 1, 1), (M_NONMINIMAL, 2, 1), (M_NONMINIMAL, 3, 2),
+     (M_NONMINIMAL, 4, 3), (M_NONMINIMAL, 30, 7)],
+)
+def test_blocks_are_the_t_degree_classes(family, m, n_blocks):
+    # m-nonminimal: z1^j reaches t-degrees j mod (m - 1) only, so a block is
+    # a class of t-degrees mod (m - 1); at N = 5 classes 0..6 are occupied.
+    system = assemble(ModelSpec(family, get_germ("p1"), m=m), N=5)
+    assert len(system.blocks) == n_blocks
+    for b in system.blocks:
+        if family == M_NONMINIMAL and m > 2:
+            assert len({d % (m - 1) for d in b.degrees}) == 1
+
+
+def test_blocks_come_from_degrees_not_values():
+    # The counterexample germ is 0 at most z2 points: its blocks are p1's.
+    p1 = assemble(ModelSpec(ONE_NONMINIMAL, get_germ("p1")), N=5)
+    cx = assemble(ModelSpec(ONE_NONMINIMAL, get_germ("counterexample")), N=5)
+    assert [b.degrees for b in cx.blocks] == [b.degrees for b in p1.blocks]
+    assert all(np.array_equal(a.unknowns, b.unknowns) for a, b in zip(cx.blocks, p1.blocks))
 
 
 def test_assemble_requires_oversampling():
     model = ModelSpec(ONE_NONMINIMAL, get_germ("p1"))
-    tiny = SampleGrid(t_values=(0.0, 0.1), z2_values=(0.3, 0.4))
-    with pytest.raises(ConfigurationError):
-        assemble(model, N=5, grid=tiny)
+    with pytest.raises(ConfigurationError, match="2x oversampling"):
+        assemble(model, N=5, points=(0.3, 0.4))
+
+
+@pytest.mark.parametrize("family, m, N, message", [
+    # 43 t-degrees x 240 points against the block's 920 unknowns.
+    (M_NONMINIMAL, 2, 20, "10320 x 920 system, above 8388608 entries"),
+    # Refused from the unknowns and points alone, before any N^2 work.
+    (M_NONMINIMAL, 2, 10**12, "at least 20000000000140000000000240000000000000 entries"),
+    (ONE_NONMINIMAL, 1, 80, "at least 11155200 entries"),
+])
+def test_assemble_refuses_a_system_beyond_its_size_limit(family, m, N, message):
+    with pytest.raises(ConfigurationError, match=message):
+        assemble(ModelSpec(family, get_germ("p1"), m=m), N=N)
 
 
 @pytest.mark.parametrize("germ, a", [("zero", 1.0), ("p1", 20.0)])
@@ -152,7 +206,7 @@ def test_tau_validation():
     with pytest.raises(ParameterError):
         nullspace(system, tau=0.0)
     # Below max(m, n) * eps no singular value can be told from zero.
-    floor = max(system.matrix.shape) * np.finfo(float).eps
+    floor = max(system.n_samples, system.n_unknowns) * EPS
     with pytest.raises(ParameterError):
         nullspace(system, tau=1e-300)
     with pytest.raises(ParameterError):
@@ -162,7 +216,7 @@ def test_tau_validation():
         assemble(model, N=0)
 
 
-@pytest.mark.parametrize("N", range(2, 9))
+@pytest.mark.parametrize("N", range(2, 17))
 @pytest.mark.parametrize("vanish, dim", [(True, 5), (False, 8)])
 def test_hyperquadric_algebra_dimensions(N, vanish, dim):
     # Re z1 + |z2|^2 = 0: aut = su(2,1) has dimension 8, the isotropy
@@ -179,34 +233,63 @@ def test_hyperquadric_algebra_dimensions(N, vanish, dim):
     + [("control", RIGID, n) for n in range(2, 9)],
 )
 def test_nullspace_matches_direct_thin_svd(germ, family, N):
-    # nullspace takes the SVD of the QR factor R; it must give the same bits
-    # as the thin SVD of the whole matrix.
+    # nullspace takes the SVD of each block's R, factored in row chunks; it
+    # must give each block's thin SVD to roundoff, and the same null space.
     system = assemble(ModelSpec(family, get_germ(germ)), N=N)
-    _, s, vt = np.linalg.svd(system.matrix, full_matrices=False)
     basis = nullspace(system)
-    assert np.array_equal(basis.singular_values, s)
-    null = s <= 1e-8 * s[0]
-    assert basis.basis == [field_from_vector(v, system.columns) for v in vt[null]]
+    s_blocks, V = [], []
+    for b in system.blocks:
+        A = system.matrix[b.rows, : len(b.unknowns)]
+        _, s, vt = np.linalg.svd(A, full_matrices=False)
+        if len(A) <= 4 * A.shape[1]:  # one chunk: the same bits
+            assert np.array_equal(np.linalg.svd(_r_factor(A), full_matrices=False)[1], s)
+        s_blocks.append(s)
+        full = np.zeros((len(s), system.n_unknowns))
+        full[:, b.unknowns] = vt
+        V.append(full)
+    s, V = np.concatenate(s_blocks), np.concatenate(V)
+    order = np.argsort(-s, kind="stable")
+    floor = max(system.n_samples, system.n_unknowns) * EPS
+    assert np.all(np.abs(basis.singular_values - s[order]) <= floor * s.max())
+    # The basis rows, back in the matrix's unknowns, span the direct null vectors.
+    null = V[s <= 1e-8 * s.max()]
+    Q = np.linalg.qr((basis.coefficients.view(float) / system.scale).T)[0]
+    assert len(null) == basis.dimension
+    assert np.max(np.abs(null.T - Q @ (Q.T @ null.T))) <= 1e-10
 
 
 def per_vector_report(model, N):
     """The parts of solve_model's report that nullspace and canonicalize
-    make, built one null vector at a time: a field per SVD row, its
-    tangency_residual on the validation grid, and a coefficient vector per
-    field over the union of the fields' monomials."""
+    make, built one null vector at a time: a field per block SVD row, its
+    validation_residual, and a coefficient vector per field over the union
+    of the fields' monomials."""
     system = assemble(model, N)
-    _, s, vt = np.linalg.svd(np.linalg.qr(system.matrix, mode="r"), full_matrices=False)
+    vectors = []
+    for b in system.blocks:
+        A = system.matrix[b.rows, : len(b.unknowns)]
+        _, s_b, vt_b = np.linalg.svd(_r_factor(A), full_matrices=False)
+        for value, v in zip(s_b, vt_b):
+            x = np.zeros(system.n_unknowns)
+            x[b.unknowns] = v
+            vectors.append((value, x * system.scale))
+    vectors.sort(key=lambda pair: -pair[0])  # stable: ties keep block order
+    s = np.array([value for value, _ in vectors])
     null = s <= 1e-8 * s[0]
-    basis = [field_from_vector(v, system.columns) for v in vt[null]]
-    T, Z = validation_grid().samples()
-    resids = [float(np.max(np.abs(tangency_residual(model, f, T, Z)))) for f in basis]
+    basis = [field_from_vector(x, system.columns) for (_, x), n in zip(vectors, null) if n]
+    resids = [validation_residual(model, f) for f in basis]
     tiny = np.finfo(float).tiny
     gap = float(s[~null].min() / max(s[null].max(), tiny)) if 0 < null.sum() < len(s) else None
-    certified = all(r <= CERT_TOL * max(f.max_coefficient(), tiny) for r, f in zip(resids, basis))
+    p_max = min(1.0, float(np.max(model.germ(np.asarray(validation_grid().z2_values)))))
+    certified = all(
+        r <= CERT_TOL * p_max * max(f.max_coefficient(), tiny) for r, f in zip(resids, basis)
+    )
+    floor = max(system.n_samples, system.n_unknowns) * EPS
+    at_floor = all(value <= floor * s[0] for value in s[null])
     if gap is not None and gap < 10:
         status = "ambiguous"
     else:
-        status = "confident" if (gap is None or gap >= 1e3) and certified else "unconfirmed"
+        confident = (gap is None or gap >= 1e3) and certified and at_floor
+        status = "confident" if confident else "unconfirmed"
 
     dim, matched = len(basis), []
     fields_ = basis + [f for _, f in DICTIONARY]
@@ -247,75 +330,153 @@ ORACLE_MODELS = {
 }
 
 
+def residual_coefficients(model, f, z):
+    """f's tangency residual as a polynomial in t, {degree: real coefficient
+    at the points z}, multiplied out term by term from the surface frame."""
+    z1, g1, g2 = surface_polys(model, z)
+
+    def mul(a, b):
+        out = {}
+        for da, va in a.items():
+            for db, vb in b.items():
+                out[da + db] = out.get(da + db, 0) + va * vb
+        return out
+
+    total = {}
+    for g, coeffs in ((g1, f.coeffs1), (g2, f.coeffs2)):
+        for (j, k), c in coeffs.items():
+            term = {0: c * z**k}
+            for _ in range(j):
+                term = mul(term, z1)
+            for d, v in mul(term, g).items():
+                total[d] = total.get(d, 0) + v
+    return {d: np.real(v) for d, v in total.items()}
+
+
 @pytest.mark.parametrize(
     "name, N",
     [pytest.param(name, N, id=name if N == 5 else f"{name}-N{N}")
      for N in (5, 12) for name in ORACLE_MODELS],
 )
 def test_validation_residual_equals_tangency_residual(name, N):
-    # nullspace certifies and converts its whole null block at once, and
-    # canonicalize indexes that block; the report must equal the one built
-    # a vector at a time, bit for bit.
+    # A validation residual is the largest real t-coefficient of the field's
+    # tangency residual at the validation z2 points, and that polynomial in t
+    # is the tangency residual at every sampled t.  nullspace certifies and
+    # converts its whole null block at once, and canonicalize indexes that
+    # block; the report must equal the one built a vector at a time, bit for
+    # bit.
     model = ORACLE_MODELS[name]
     basis = nullspace(assemble(model, N=N))
     assert basis.dimension > 0
-    T, Z = validation_grid().samples()
+    vg = validation_grid()
+    z = np.asarray(vg.z2_values)
+    T, Z = vg.samples()
     for f, r in zip(basis.basis, basis.validation_residuals):
-        expected = float(np.max(np.abs(tangency_residual(model, f, T, Z))))
-        assert r == expected
-        assert validation_residual(model, f) == expected
+        assert validation_residual(model, f) == r
+        coeffs = residual_coefficients(model, f, z)
+        size = sum(map(abs, [*f.coeffs1.values(), *f.coeffs2.values()]))
+        assert abs(r - max(np.max(np.abs(c)) for c in coeffs.values())) <= 1e-14 * size
+        sampled = sum(T**d * np.tile(c, len(vg.t_values)) for d, c in coeffs.items())
+        assert np.max(np.abs(sampled - tangency_residual(model, f, T, Z))) <= 1e-14 * size
     _, report = solve_model(model, N=N)
     reference = per_vector_report(model, N)
     assert json.dumps({k: report[k] for k in reference}) == json.dumps(reference)
 
 
 def test_validation_residual_is_per_model_and_grid():
-    # Alternating models must each get their own surface frame.
+    # Alternating models must each get their own surface frame.  i z1 dz1
+    # leaves the t-coefficients -(1 + P^2) / 2 on one-nonminimal, and 1/2
+    # and P^2 on m = 2.
     f = monomial_field(1, 1, 0, 1j)
     g = get_germ("p1")
     a = ModelSpec(ONE_NONMINIMAL, g)
     b = ModelSpec(M_NONMINIMAL, g, m=2)
-    T, Z = validation_grid().samples()
-
-    def direct(model):
-        return float(np.max(np.abs(tangency_residual(model, f, T, Z))))
+    p_max = float(np.max(g(np.asarray(validation_grid().z2_values))))
+    closed = {a: (1 + p_max**2) / 2, b: max(0.5, p_max**2)}
 
     calls = [a, b, a, b, a]
     got = [validation_residual(model, f) for model in calls]
-    assert got == [direct(model) for model in calls]
+    assert got == [validation_residual(model, f) for model in calls]
+    assert np.allclose(got, [closed[model] for model in calls], rtol=4 * EPS, atol=0)
     assert len(set(got)) == 2
 
 
 @pytest.mark.parametrize(
     "family, a, m",
-    [(M_NONMINIMAL, 1.0, m) for m in (14, 16, 20, 50, 400)]
-    + [(ONE_NONMINIMAL, 8.0, 1), (ONE_NONMINIMAL, 10.0, 1), (RIGID, 8.0, 1)],
+    [(ONE_NONMINIMAL, 8.0, 1), (ONE_NONMINIMAL, 10.0, 1), (RIGID, 8.0, 1), (M_NONMINIMAL, 8.0, 2)],
 )
 def test_p_term_at_most_tau_at_every_sample_is_rejected(family, a, m):
-    # |t|^m P <= 0.3^16 * 0.16 = 7e-10 at m = 16 (and exp(-1/|z|^8) <= 2e-52
-    # at a = 8): the samples see the Levi-flat model, and the solver used to
-    # report a confident dimension 45.
+    # exp(-1/|z|^8) <= 2e-52 at the z2 points: they see the Levi-flat model,
+    # and the solver used to report a confident dimension 45.  Exact
+    # t-coefficients carry P unscaled, so the rule is the same for every
+    # family and m.
     model = ModelSpec(family, get_germ("p1", a=a), m=m)
     with pytest.raises(ParameterError, match="not identically zero.*not above 1e-08"):
         solve_model(model)
 
 
 def test_p_term_rule_follows_tau():
-    # m = 16: max |t^16 P| over the default grid is 7.0e-10.
-    system = assemble(ModelSpec(M_NONMINIMAL, get_germ("p1"), m=16), N=5)
-    with pytest.raises(ParameterError, match="not above 1e-09"):
-        nullspace(system, tau=1e-9)
-    assert nullspace(system, tau=1e-10).status == "ambiguous"
+    # a = 5: max |P| over the solver's z2 points is 2.35e-9.
+    system = assemble(ModelSpec(ONE_NONMINIMAL, get_germ("p1", a=5.0)), N=5)
+    with pytest.raises(ParameterError, match="max [|]P[|] = 2.35e-09 .*not above 1e-08"):
+        nullspace(system, tau=1e-8)
+    # Below it the model is solved, but the fields tangent only to the
+    # Levi-flat model leave residuals of order P^2 and are not certified.
+    basis = nullspace(system, tau=1e-9)
+    assert basis.status == "unconfirmed" and basis.dimension > 2
 
 
-@pytest.mark.parametrize("m", range(2, 14))
+@pytest.mark.parametrize("m", [*range(2, 31), 50, 400])
 def test_m_nonminimal_is_confident_only_where_right(m):
-    # Dimension 1 (i z2 dz2) for every m; from m = 4 the default grid cannot
-    # separate it, and the solver must say so rather than be confident.
+    # Dimension 1 (i z2 dz2) for every m: the exact t-coefficients see the
+    # t^m P term whatever m is.
     basis, _ = solve_model(ModelSpec(M_NONMINIMAL, get_germ("p1"), m=m))
-    assert basis.confident == (m <= 3)
-    if m <= 3:
-        assert basis.labels == ["i z2 dz2"]
+    assert basis.confident
+    assert basis.labels == ["i z2 dz2"]
+
+
+# The worked examples: (germ, family, m, vanish, labels).  The hyperquadric
+# rows of the table are test_hyperquadric_algebra_dimensions.
+BASELINE = {
+    "p1-aut0": ("p1", ONE_NONMINIMAL, 1, True, ["i z2 dz2", "z1 dz1"]),
+    "p2-aut0": ("p2", ONE_NONMINIMAL, 1, True, ["z1 dz1"]),
+    "p3-aut": ("p3", ONE_NONMINIMAL, 1, False, ["i dz2", "z1 dz1"]),
+    "p3-aut0": ("p3", ONE_NONMINIMAL, 1, True, ["z1 dz1"]),
+    "p1-m2-aut0": ("p1", M_NONMINIMAL, 2, True, ["i z2 dz2"]),
+}
+
+
+@pytest.mark.parametrize("name", BASELINE)
+@pytest.mark.parametrize("N", range(5, 17))
+def test_baseline_answers_do_not_depend_on_N(name, N):
+    germ, family, m, vanish, want = BASELINE[name]
+    basis, _ = solve_model(ModelSpec(family, get_germ(germ), m=m), N=N, vanish_at_origin=vanish)
+    assert basis.status == "confident"
+    assert sorted(basis.labels) == want
+
+
+@pytest.mark.parametrize("a", [1.0, 2.0, 3.0, 4.0, 4.5, 5.0, 6.0])
+@pytest.mark.parametrize("N", [5, 8, 12])
+def test_flat_p1_is_never_wrongly_confident(a, N):
+    # The larger a, the closer the model is to the Levi-flat one: from a = 3
+    # fields tangent to P = 0 leave residuals of order P^2 and below, and
+    # from a = 5 max |P| <= tau.
+    model = ModelSpec(ONE_NONMINIMAL, get_germ("p1", a=a))
+    try:
+        basis, _ = solve_model(model, N=N)
+    except ParameterError:
+        assert a >= 5
+        return
+    if basis.confident:
+        assert sorted(basis.labels) == ["i z2 dz2", "z1 dz1"]
+    assert basis.confident == (a <= 2)
+
+
+@pytest.mark.parametrize("N", range(5, 13))
+def test_counterexample_germ_is_never_confident(N):
+    # P == 0 on most of the z2 points: the points cannot pin the algebra.
+    basis, _ = solve_model(ModelSpec(ONE_NONMINIMAL, get_germ("counterexample")), N=N)
+    assert not basis.confident
 
 
 @pytest.mark.parametrize("germ, family", [("p1", ONE_NONMINIMAL), ("control", RIGID)])

@@ -168,6 +168,8 @@ def test_out_dir_env_var(tmp_path, monkeypatch):
         ["vtype", "--germ", "p1", "--k-max", "0"],
         ["solve", "--germ", "p1", "--a", "nan"],
         ["counterexample", "--t0", "nan"],
+        # Refused by its size before any work that grows with the jet order.
+        ["solve", "--jet", "100000000"],
     ],
 )
 def test_non_finite_or_out_of_range_input_is_invalid(args, tmp_path):
@@ -182,13 +184,21 @@ def test_non_finite_or_out_of_range_input_is_invalid(args, tmp_path):
         (["solve", "--family", "m-nonminimal", "--m", "1"], "require integer m >= 2"),
         (["flow", "--z2-re", "nan"], "outside the domain disk"),
         (["flow", "--t0", "nan"], "t must be finite"),
-        # |t|^400 P underflows far below tau: the samples see Im z1 = 0.
-        (["solve", "--family", "m-nonminimal", "--m", "400"], "not above 1e-08"),
+        # exp(-1/|z|^8) is at most 2e-52 at the z2 points: below tau.
+        (["solve", "--germ", "p1", "--a", "8"], "not above 1e-08"),
     ],
 )
 def test_invalid_input_message_comes_from_the_owning_rule(args, message, tmp_path, capsys):
     assert run(args, tmp_path) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("m", ["20", "400"])
+def test_solve_m_nonminimal_large_m_is_confident(m, tmp_path):
+    # The exact t-coefficients carry t^m P whatever m is.
+    assert run(["solve", "--family", "m-nonminimal", "--m", m], tmp_path) == 0
+    report = json.loads((tmp_path / "solve_report.json").read_text())
+    assert report["dimension"] == 1 and report["labels"] == ["i z2 dz2"]
 
 
 def test_flow_whose_rho_overflows_exits_2_and_writes_nothing(tmp_path, capsys):

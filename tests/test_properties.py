@@ -1,6 +1,7 @@
 """Property tests: germ evaluation on and off the domain disk, the
 solver's coefficient codec, the tangency residual of one field and of a
-stack of them, and flows run forward and back."""
+stack of them, the exact-in-t residuals of the closed-form fields, and
+flows run forward and back."""
 
 import math
 
@@ -17,6 +18,7 @@ from crlab import (  # noqa: E402
     DomainError,
     ModelSpec,
     ONE_NONMINIMAL,
+    RIGID,
     VectorFieldPoly,
     assemble,
     characteristic_flow,
@@ -26,8 +28,10 @@ from crlab import (  # noqa: E402
     surface_point,
     tangency_residual,
     validation_grid,
+    validation_residual,
 )
 from crlab.autsolve import (  # noqa: E402
+    _column_polys,
     _validation_residuals,
     field_from_vector,
     vector_from_field,
@@ -156,7 +160,7 @@ def test_stacked_residuals_equal_per_field_residuals_bit_for_bit(family, data):
     sups = _validation_residuals(model, C, columns)
     for r, x in enumerate(X):
         f = field_from_vector(x, columns)
-        assert sups[r].tobytes() == np.max(np.abs(tangency_residual(model, f, T, Z))).tobytes()
+        assert sups[r].tobytes() == np.float64(validation_residual(model, f)).tobytes()
         for stack, h, coeffs in zip(stacks, f.eval(z1, z2), (f.coeffs1, f.coeffs2)):
             assert stack[r].tobytes() == h.tobytes() == naive_eval(coeffs, z1, z2).tobytes()
 
@@ -184,6 +188,86 @@ def test_tangency_residual_is_real_linear(family, data):
     l1 = abs(a) * sum(map(abs, [*f.coeffs1.values(), *f.coeffs2.values()])) + abs(b) * sum(
         map(abs, [*g.coeffs1.values(), *g.coeffs2.values()]))
     assert np.max(np.abs(lhs - rhs)) <= 1e-12 * l1 * np.max(np.abs(g1) + np.abs(g2))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@PROPERTY
+@given(data=st.data())
+def test_t_coefficients_sum_to_the_sampled_residual(family, data):
+    # The solver's exact t-coefficients of g_comp z1^j, times c z2^k and
+    # summed as a polynomial in t, are the tangency residual at every sample.
+    model = data.draw(models(family))
+    f = data.draw(fields_on(COLUMNS[1], bounded))
+    vg = validation_grid()
+    z = np.asarray(vg.z2_values)
+    T, Z = vg.samples()
+    polys = _column_polys(model, z, {(comp, j) for comp, j, _ in COLUMNS[1]})
+    total = np.zeros(len(T))
+    for comp, coeffs in ((1, f.coeffs1), (2, f.coeffs2)):
+        for (j, k), c in coeffs.items():
+            for d, v in polys[(comp, j)].items():
+                total += T**d * np.tile(np.real(c * v * z**k), len(vg.t_values))
+    _, _, g1, g2 = surface_frame(model, T, Z)
+    l1 = sum(map(abs, [*f.coeffs1.values(), *f.coeffs2.values()]))
+    sampled = tangency_residual(model, f, T, Z)
+    assert np.max(np.abs(total - sampled)) <= 1e-12 * l1 * np.max(np.abs(g1) + np.abs(g2))
+
+
+# The closed-form fields of the exact-in-t checks below, each with the
+# models it is tangent to.  Re z1 + |z2|^2 = 0 (the control germ, rigid)
+# has the 8 fields of su(2,1) (Chern-Moser).
+HYPERQUADRIC_FIELDS = (
+    VectorFieldPoly({(0, 0): 1j}, {}),
+    VectorFieldPoly({(0, 1): -2.0 + 0j}, {(0, 0): 1.0 + 0j}),
+    VectorFieldPoly({(0, 1): 2j}, {(0, 0): 1j}),
+    VectorFieldPoly({}, {(0, 1): 1j}),
+    VectorFieldPoly({(1, 0): 2.0 + 0j}, {(0, 1): 1.0 + 0j}),
+    VectorFieldPoly({(1, 1): 2.0 + 0j}, {(0, 2): 2.0 + 0j, (1, 0): 1.0 + 0j}),
+    VectorFieldPoly({(1, 1): 2j}, {(0, 2): 2j, (1, 0): -1j}),
+    VectorFieldPoly({(2, 0): 1j}, {(1, 1): 1j}),
+)
+
+
+def assert_exact_residual_vanishes(model, f, N):
+    """f's residual on the solver's system at jet order N, and its
+    validation residual, are roundoff: every t-coefficient of the tangency
+    residual vanishes."""
+    system = assemble(model, N, vanish_at_origin=False)
+    x = vector_from_field(f, system.columns) / system.scale
+    for b in system.blocks:
+        A = system.matrix[b.rows, : len(b.unknowns)]  # rows of max |entry| 1
+        assert np.max(np.abs(A @ x[b.unknowns])) <= 16 * EPS * np.abs(x).sum()
+    size = sum(map(abs, [*f.coeffs1.values(), *f.coeffs2.values()]))
+    assert validation_residual(model, f) <= 16 * EPS * size
+
+
+EPS = np.finfo(float).eps
+jet_orders = st.integers(2, 16)
+flatness = st.floats(0.5, 3.0)
+
+
+@PROPERTY
+@given(gid=st.sampled_from(["p1", "p2", "p3", "control", "counterexample"]), a=flatness,
+       N=jet_orders)
+def test_z1_dz1_is_exactly_tangent_on_every_one_nonminimal_model(gid, a, N):
+    model = ModelSpec(ONE_NONMINIMAL, get_germ(gid, a=a))
+    assert_exact_residual_vanishes(model, VectorFieldPoly({(1, 0): 1.0 + 0j}, {}), N)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@PROPERTY
+@given(gid=st.sampled_from(["p1", "control"]), a=flatness, m=st.sampled_from([2, 3, 7]),
+       N=jet_orders)
+def test_i_z2_dz2_is_exactly_tangent_on_radial_germs(family, gid, a, m, N):
+    model = ModelSpec(family, get_germ(gid, a=a), m=m if family == M_NONMINIMAL else 1)
+    assert_exact_residual_vanishes(model, VectorFieldPoly({}, {(0, 1): 1j}), N)
+
+
+@PROPERTY
+@given(i=st.integers(0, len(HYPERQUADRIC_FIELDS) - 1), N=jet_orders)
+def test_hyperquadric_fields_are_exactly_tangent(i, N):
+    model = ModelSpec(RIGID, get_germ("control"))
+    assert_exact_residual_vanishes(model, HYPERQUADRIC_FIELDS[i], N)
 
 
 tols = st.floats(-12.0, -6.0).map(lambda e: 10.0**e)
