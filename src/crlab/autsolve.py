@@ -6,8 +6,9 @@ and it is linear over R in the real and imaginary parts of the field
 coefficients.  One row per (t-degree, z2 point) gives a rectangular matrix
 whose numerical null space is the space of infinitesimal CR automorphisms at
 the chosen jet order.  Columns that share no t-degree share no row, so the
-matrix is block diagonal, and each block is factored on its own.  Every
-reported basis vector is re-validated, exactly in t, at independent z2
+matrix is block diagonal, and each block is factored on its own, one t-degree
+at a time: an unknown whose last degree is passed leaves the factorization.
+Every reported basis vector is re-validated, exactly in t, at independent z2
 points.
 """
 
@@ -81,6 +82,10 @@ def validation_grid() -> SampleGrid:
     return SampleGrid(t_values=t, z2_values=z2)
 
 
+# The z2 points every basis field is validated at.
+VALIDATION_POINTS = np.asarray(validation_grid().z2_values)
+VALIDATION_POINTS.flags.writeable = False
+
 SOLVER_SHELLS = (0.15, 0.25, 0.35, 0.45, 0.55)
 
 
@@ -93,11 +98,15 @@ def solver_points(N: int) -> tuple:
 @dataclass(frozen=True)
 class Block:
     """The rows of the t-degrees ``degrees`` (degree-major, then z2 point):
-    ``matrix[rows, :len(unknowns)]`` against the real ``unknowns``."""
+    ``matrix[rows, :len(unknowns)]`` against the real ``unknowns``.  Unknown
+    u first and last appears in the rows of ``degrees[first[u]]`` and
+    ``degrees[last[u]]``; the unknowns are ordered by (last, first)."""
 
     degrees: tuple
     rows: slice
     unknowns: np.ndarray
+    first: np.ndarray
+    last: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -203,15 +212,18 @@ def _weight_blocks(polys: dict, columns) -> list:
     """Columns joined when their t-degree supports meet, as (sorted degrees,
     column indices) in order of the smallest degree.  The supports are the
     polynomials' keys, so a coefficient that is 0 at some point splits no
-    block."""
-    blocks: list = []  # [degree set, column indices]
-    for i, (comp, j, _) in enumerate(columns):
-        support = set(polys[(comp, j)])
+    block; they depend on (comp, j) only, so the pairs are joined."""
+    blocks: list = []  # [degree set, (comp, j) pairs]
+    for pair, poly in polys.items():
+        support = set(poly)
         meet = [b for b in blocks if b[0] & support]
         blocks = [b for b in blocks if not b[0] & support]
-        cols = sorted(sum((b[1] for b in meet), [i]))
-        blocks.append([support.union(*(b[0] for b in meet)), cols])
-    return sorted((sorted(degrees), cols) for degrees, cols in blocks)
+        blocks.append([support.union(*(b[0] for b in meet)), {pair}.union(*(b[1] for b in meet))])
+    owner = {pair: b for b, (_, pairs) in enumerate(blocks) for pair in pairs}
+    cols: list = [[] for _ in blocks]
+    for i, (comp, j, _) in enumerate(columns):
+        cols[owner[(comp, j)]].append(i)
+    return sorted((sorted(degrees), c) for (degrees, _), c in zip(blocks, cols))
 
 
 def assemble(
@@ -246,7 +258,8 @@ def assemble(
     columns: tuple[Column, ...] = tuple((comp, j, k) for comp in (1, 2) for (j, k) in monos)
     pairs = {(comp, j) for comp, j, _ in columns}
     # The supports alone, from the polynomials at no point.
-    blocks = _weight_blocks(_column_polys(model, np.empty(0, complex), pairs), columns)
+    supports = _column_polys(model, np.empty(0, complex), pairs)
+    blocks = _weight_blocks(supports, columns)
     n_rows = len(points) * sum(len(degrees) for degrees, _ in blocks)
     width = 2 * max(len(cols) for _, cols in blocks)
     if n_rows * width > MAX_ENTRIES:
@@ -263,20 +276,32 @@ def assemble(
     z = np.asarray(points)
     r = np.max(np.abs(z))
     polys = _column_polys(model, z, pairs)
-    zk = {k: (z / r) ** k for k in {k for *_, k in columns}}
+    zk = np.array([(z / r) ** k for k in range(N + 1)])
     mat = np.zeros((n_rows, width))
     packed, start = [], 0
     for degrees, cols in blocks:
-        index = {d: start + i * len(z) for i, d in enumerate(degrees)}
+        pos = {d: p for p, d in enumerate(degrees)}
+        # Where each column first and last appears, and the columns in
+        # (last, first) order; sorted() is stable, so a one-degree block
+        # keeps the column order.
+        span = {pair: (pos[max(supports[pair])], pos[min(supports[pair])])
+                for pair in {columns[i][:2] for i in cols}}
+        cols = sorted(cols, key=lambda i: span[columns[i][:2]])
+        at: dict = {}  # (comp, j) -> [(position in the block, k)]
         for c, i in enumerate(cols):
-            comp, j, k = columns[i]
-            for d, v in polys[(comp, j)].items():
-                b = v * zk[k]
-                mat[index[d] : index[d] + len(z), 2 * c] = b.real   # coefficient 1
-                mat[index[d] : index[d] + len(z), 2 * c + 1] = -b.imag  # coefficient i
+            at.setdefault(columns[i][:2], []).append((c, columns[i][2]))
+        for pair, ck in at.items():
+            c, k = np.array(ck).T
+            for d, v in polys[pair].items():
+                top = start + pos[d] * len(z)
+                b = (v * zk[k]).T
+                mat[top : top + len(z), 2 * c] = b.real   # coefficient 1
+                mat[top : top + len(z), 2 * c + 1] = -b.imag  # coefficient i
         rows = slice(start, start + len(degrees) * len(z))
+        last, first = np.repeat([span[columns[i][:2]] for i in cols], 2, axis=0).T
         unknowns = np.ravel([(2 * i, 2 * i + 1) for i in cols])
-        packed.append(Block(degrees=tuple(degrees), rows=rows, unknowns=unknowns))
+        packed.append(Block(degrees=tuple(degrees), rows=rows, unknowns=unknowns,
+                            first=first, last=last))
         start = rows.stop
 
     # max |row| without an |mat| copy
@@ -334,11 +359,13 @@ def _validation_residuals(model: ModelSpec, C: np.ndarray, columns) -> np.ndarra
 
     Terms are added per t-degree in sorted (component, j, k) order, so a
     field's bits do not depend on the zero columns stacked beside it."""
-    z = np.asarray(validation_grid().z2_values)
-    polys = _column_polys(model, z, {(comp, j) for comp, j, _ in columns})
-    zk = {k: z**k for k in {k for *_, k in columns}}
+    # A column that no row uses adds exactly 0 to every term: skip it.
+    used = sorted(np.flatnonzero(C.any(axis=0)), key=columns.__getitem__)
+    z = VALIDATION_POINTS
+    polys = _column_polys(model, z, {columns[i][:2] for i in used})
+    zk = {k: z**k for k in {columns[i][2] for i in used}}
     totals: dict = {}
-    for i in sorted(range(len(columns)), key=columns.__getitem__):
+    for i in used:
         comp, j, k = columns[i]
         a, b = C[:, i, None].real, C[:, i, None].imag
         for d, v in polys[(comp, j)].items():
@@ -351,15 +378,35 @@ def _validation_residuals(model: ModelSpec, C: np.ndarray, columns) -> np.ndarra
     return out
 
 
-def _r_factor(A: np.ndarray) -> np.ndarray:
-    """R of A = QR for A with at least as many rows as columns n, factored in
-    chunks of 4n rows: each chunk after the first is 3n new rows under the R
-    so far, so no QR copies more than 4n rows."""
+def _r_factor(A: np.ndarray, block: Block) -> np.ndarray:
+    """The n x n R of A = QR, for the rows A of a block with n unknowns.
+
+    The block's degrees are taken in order.  Each stacks the R so far, on the
+    unknowns in play (first <= degree <= last), on the degree's rows, in
+    chunks, so that no QR holds more than 4 x (unknowns in play) rows.  When
+    a degree is done, the R rows of the unknowns whose last degree it is are
+    final, and R shrinks to the others.  The unknowns come in (last, first)
+    order, so the final rows are R's leading ones.  A one-degree block is a
+    QR of its first 4n rows, then of R stacked on 3n rows at a time."""
     n = A.shape[1]
-    R = np.linalg.qr(A[: 4 * n], mode="r")
-    for i in range(4 * n, len(A), 3 * n):
-        R = np.linalg.qr(np.vstack((R, A[i : i + 3 * n])), mode="r")
-    return R
+    h = len(A) // len(block.degrees)  # rows per degree
+    out = np.zeros((n, n))
+    R, play, done = np.zeros((0, 0)), np.arange(0), 0
+    for p in range(len(block.degrees)):
+        # Unknowns before ``done`` have their last degree behind them.
+        now = done + np.flatnonzero(block.first[done:] <= p)
+        grown = np.zeros((len(R), len(now)))
+        grown[:, np.searchsorted(now, play)] = R
+        R, rows = grown, A[p * h : (p + 1) * h, now]
+        i = 0
+        while i < h:
+            chunk = 4 * len(now) - len(R)
+            R = np.linalg.qr(np.vstack((R, rows[i : i + chunk])), mode="r")
+            i += chunk
+        k = np.count_nonzero(block.last[now] == p)  # now[:k] = done, ..., done + k - 1
+        out[done : done + min(k, len(R)), now] = R[:k]
+        R, play, done = R[k:, k:], now[k:], done + k
+    return out
 
 
 def nullspace(system: TangencySystem, tau: float = 1e-8) -> AutBasis:
@@ -383,7 +430,7 @@ def nullspace(system: TangencySystem, tau: float = 1e-8) -> AutBasis:
             # The thin SVD would return fewer right singular vectors than unknowns.
             raise ConfigurationError("each block needs at least as many samples as unknowns")
         # R's SVD gives the singular values and right vectors of A without forming U.
-        factors.append(np.linalg.svd(_r_factor(A), full_matrices=False)[1:])
+        factors.append(np.linalg.svd(_r_factor(A, block), full_matrices=False)[1:])
     s = np.concatenate([sb for sb, _ in factors])
     order = np.argsort(-s, kind="stable")
     s = s[order]
@@ -407,7 +454,7 @@ def nullspace(system: TangencySystem, tau: float = 1e-8) -> AutBasis:
     # |C| row maxima are the basis fields' max_coefficient().  A field tangent
     # only to the Levi-flat model P = 0 leaves a residual of the order of a
     # power of P, so the bound scales with P where P is small.
-    p_max = np.max(np.abs(system.model.germ(np.asarray(validation_grid().z2_values))))
+    p_max = np.max(np.abs(system.model.germ(VALIDATION_POINTS)))
     scale = np.maximum(np.abs(C).max(axis=1, initial=0.0), np.finfo(float).tiny)
     certified = resids <= CERT_TOL * min(1.0, p_max) * scale
     at_roundoff = s_below.max(initial=0.0) <= floor * s[0]

@@ -29,8 +29,12 @@ from crlab.autsolve import (
     DICTIONARY,
     LABEL_TOL,
     SPAN_TOL,
+    _column_polys,
+    _monomials,
     _r_factor,
+    _weight_blocks,
     field_from_vector,
+    shell_points,
     solver_points,
     vector_from_field,
 )
@@ -97,6 +101,48 @@ def test_blocks_come_from_degrees_not_values():
     cx = assemble(ModelSpec(ONE_NONMINIMAL, get_germ("counterexample")), N=5)
     assert [b.degrees for b in cx.blocks] == [b.degrees for b in p1.blocks]
     assert all(np.array_equal(a.unknowns, b.unknowns) for a, b in zip(cx.blocks, p1.blocks))
+
+
+FAMILIES = [(ONE_NONMINIMAL, 1), (RIGID, 1), (M_NONMINIMAL, 2), (M_NONMINIMAL, 3)]
+
+
+def per_column_blocks(polys, columns):
+    """The block rule applied one column at a time, as it was before pairs."""
+    blocks = []
+    for i, (comp, j, _) in enumerate(columns):
+        support = set(polys[(comp, j)])
+        meet = [b for b in blocks if b[0] & support]
+        blocks = [b for b in blocks if not b[0] & support]
+        cols = sorted(sum((b[1] for b in meet), [i]))
+        blocks.append([support.union(*(b[0] for b in meet)), cols])
+    return sorted((sorted(degrees), cols) for degrees, cols in blocks)
+
+
+@pytest.mark.parametrize("family, m", FAMILIES)
+def test_blocks_join_pairs_as_the_per_column_rule_joins_columns(family, m):
+    model = ModelSpec(family, get_germ("p1"), m=m)
+    for N in range(1, 17):
+        for origin in (False, True):
+            columns = [(comp, j, k) for comp in (1, 2) for j, k in _monomials(N, origin)]
+            polys = _column_polys(model, np.empty(0, complex), {c[:2] for c in columns})
+            assert _weight_blocks(polys, columns) == per_column_blocks(polys, columns)
+
+
+@pytest.mark.parametrize("family, m, span", [
+    # m = 2: z1 = t + i t^2 P, g1 = 1/(2i) - t P and g2 = -t^2 dP/dz.
+    (M_NONMINIMAL, 2, lambda comp, j: (j, 2 * j + 1) if comp == 1 else (j + 2, 2 * j + 2)),
+    # rigid: z1 = -P + i t, g1 = 1/2 and g2 = dP/dz.
+    (RIGID, 1, lambda comp, j: (0, j)),
+])
+def test_block_unknowns_follow_their_t_degree_staircase(family, m, span):
+    system = assemble(ModelSpec(family, get_germ("p1"), m=m), N=6)
+    (b,) = system.blocks
+    columns = [system.columns[u // 2] for u in b.unknowns]
+    got = [(b.degrees[f], b.degrees[l]) for f, l in zip(b.first, b.last)]
+    assert got == [span(comp, j) for comp, j, _ in columns]
+    # Ordered by (last, first), each pair keeping its column order.
+    order = sorted(range(len(columns)), key=lambda u: (b.last[u], b.first[u], b.unknowns[u]))
+    assert order == list(range(len(columns)))
 
 
 def test_assemble_requires_oversampling():
@@ -233,16 +279,16 @@ def test_hyperquadric_algebra_dimensions(N, vanish, dim):
     + [("control", RIGID, n) for n in range(2, 9)],
 )
 def test_nullspace_matches_direct_thin_svd(germ, family, N):
-    # nullspace takes the SVD of each block's R, factored in row chunks; it
-    # must give each block's thin SVD to roundoff, and the same null space.
+    # nullspace takes the SVD of each block's staircase R; it must give each
+    # block's thin SVD to roundoff, and the same null space.
     system = assemble(ModelSpec(family, get_germ(germ)), N=N)
     basis = nullspace(system)
     s_blocks, V = [], []
     for b in system.blocks:
         A = system.matrix[b.rows, : len(b.unknowns)]
         _, s, vt = np.linalg.svd(A, full_matrices=False)
-        if len(A) <= 4 * A.shape[1]:  # one chunk: the same bits
-            assert np.array_equal(np.linalg.svd(_r_factor(A), full_matrices=False)[1], s)
+        if len(b.degrees) == 1 and len(A) <= 4 * A.shape[1]:  # one QR: the same bits
+            assert np.array_equal(np.linalg.svd(_r_factor(A, b), full_matrices=False)[1], s)
         s_blocks.append(s)
         full = np.zeros((len(s), system.n_unknowns))
         full[:, b.unknowns] = vt
@@ -258,6 +304,48 @@ def test_nullspace_matches_direct_thin_svd(germ, family, N):
     assert np.max(np.abs(null.T - Q @ (Q.T @ null.T))) <= 1e-10
 
 
+@pytest.mark.parametrize("family, m", FAMILIES)
+@pytest.mark.parametrize("N", range(2, 17))
+def test_staircase_r_matches_each_block_thin_svd(family, m, N):
+    # The staircase stacks R on each degree's rows and sets aside the rows
+    # of the unknowns that appear no more: R^T R is still A^T A.
+    germ = "control" if family == RIGID else "p1"
+    system = assemble(ModelSpec(family, get_germ(germ), m=m), N=N)
+    floor = max(system.n_samples, system.n_unknowns) * EPS
+    for b in system.blocks:
+        A = system.matrix[b.rows, : len(b.unknowns)]
+        R = _r_factor(A, b)
+        assert np.array_equal(R, np.triu(R))
+        _, s, vt = np.linalg.svd(R, full_matrices=False)
+        _, s_dense, vt_dense = np.linalg.svd(A, full_matrices=False)
+        assert np.all(np.abs(s - s_dense) <= floor * s_dense[0])
+        null, null_dense = vt[s <= 1e-8 * s[0]], vt_dense[s_dense <= 1e-8 * s_dense[0]]
+        assert len(null) == len(null_dense)
+        assert np.max(np.abs(null_dense - null_dense @ null.T @ null), initial=0.0) <= 1e-10
+
+
+def chunked_r(A):
+    """R as it was factored before the staircase: a QR of the first 4n rows,
+    then of R stacked on the next 3n rows, until the rows run out."""
+    n = A.shape[1]
+    R = np.linalg.qr(A[: 4 * n], mode="r")
+    for i in range(4 * n, len(A), 3 * n):
+        R = np.linalg.qr(np.vstack((R, A[i : i + 3 * n])), mode="r")
+    return R
+
+
+@pytest.mark.parametrize("points", [None, shell_points((0.2, 0.3, 0.4, 0.5), 150, phase=0.3)])
+@pytest.mark.parametrize("germ", ["p1", "p3", "counterexample"])
+def test_one_degree_blocks_keep_the_chunked_r_bits(germ, points):
+    # The solver's points give one QR per block; 600 points give several.
+    for N in range(2, 17):
+        system = assemble(ModelSpec(ONE_NONMINIMAL, get_germ(germ)), N=N, points=points)
+        for b in system.blocks:
+            A = system.matrix[b.rows, : len(b.unknowns)]
+            assert len(b.degrees) == 1
+            assert np.array_equal(_r_factor(A, b), chunked_r(A))
+
+
 def per_vector_report(model, N):
     """The parts of solve_model's report that nullspace and canonicalize
     make, built one null vector at a time: a field per block SVD row, its
@@ -267,7 +355,7 @@ def per_vector_report(model, N):
     vectors = []
     for b in system.blocks:
         A = system.matrix[b.rows, : len(b.unknowns)]
-        _, s_b, vt_b = np.linalg.svd(_r_factor(A), full_matrices=False)
+        _, s_b, vt_b = np.linalg.svd(_r_factor(A, b), full_matrices=False)
         for value, v in zip(s_b, vt_b):
             x = np.zeros(system.n_unknowns)
             x[b.unknowns] = v
