@@ -8,6 +8,8 @@ whose numerical null space is the space of infinitesimal CR automorphisms at
 the chosen jet order.  Columns that share no t-degree share no row, so the
 matrix is block diagonal, and each block is factored on its own, one t-degree
 at a time: an unknown whose last degree is passed leaves the factorization.
+Where an antiholomorphic involution fixes the model, each block splits again
+into its even and odd halves, with rows at one point of each conjugate pair.
 Every reported basis vector is re-validated, exactly in t, at independent z2
 points.
 """
@@ -20,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigurationError, ParameterError
 from .fields import VectorFieldPoly, monomial_field
-from .models import ModelSpec, surface_polys
+from .models import M_NONMINIMAL, RIGID, ModelSpec, surface_polys
 
 Column = tuple[int, int, int]  # (component, j, k): vector entries 2i (re), 2i+1 (im)
 
@@ -90,9 +92,13 @@ SOLVER_SHELLS = (0.15, 0.25, 0.35, 0.45, 0.55)
 
 
 def solver_points(N: int) -> tuple:
-    """The solver's z2 points at jet order N: 2N + 8 angles resolve every
-    angular frequency up to N + 1 that a residual row holds."""
-    return shell_points(SOLVER_SHELLS, 2 * N + 8)
+    """The solver's z2 points at jet order N: the N + 4 angles
+    pi (2q + 1) / (2N + 8) on each shell, then their exact conjugates.  The
+    2N + 8 angles resolve every angular frequency up to N + 1 that a
+    residual row holds, and none lies on the real axis."""
+    angles = np.pi * (2 * np.arange(N + 4) + 1) / (2 * N + 8)
+    upper = (np.array(SOLVER_SHELLS)[:, None] * np.exp(1j * angles)).ravel()
+    return tuple(np.concatenate((upper, np.conj(upper))))
 
 
 @dataclass(frozen=True)
@@ -100,7 +106,10 @@ class Block:
     """The rows of the t-degrees ``degrees`` (degree-major, then z2 point):
     ``matrix[rows, :len(unknowns)]`` against the real ``unknowns``.  Unknown
     u first and last appears in the rows of ``degrees[first[u]]`` and
-    ``degrees[last[u]]``; the unknowns are ordered by (last, first)."""
+    ``degrees[last[u]]``; the unknowns are ordered by (last, first).  A
+    block split by its conjugation (see ``_sigma``) is two of these, the
+    sigma-even and the sigma-odd unknowns, each with rows at the first half
+    of the points only."""
 
     degrees: tuple
     rows: slice
@@ -112,7 +121,8 @@ class Block:
 @dataclass(frozen=True)
 class TangencySystem:
     """The block-diagonal system, packed: row r of block b holds its entries
-    on b's unknowns only, left-aligned."""
+    on b's unknowns only, left-aligned.  Its null space is the tangency
+    system's at ``points``."""
 
     matrix: np.ndarray = field(repr=False)
     columns: tuple
@@ -136,7 +146,7 @@ class TangencySystem:
         return self.matrix.shape[0]
 
     def describe(self) -> dict:
-        n_t = sum(len(b.degrees) for b in self.blocks)
+        n_t = len({d for b in self.blocks for d in b.degrees})
         return {"n_t": n_t, "n_z2": len(self.points), "n": self.n_samples}
 
 
@@ -190,6 +200,34 @@ def _require_curved(model: ModelSpec, points, bound: float) -> None:
         )
 
 
+def _sigma(model: ModelSpec) -> int | None:
+    """The antiholomorphic involution sigma that fixes the family's models
+    when P is conjugation-even, as a parity rule w: entry e (0 for the real
+    part, 1 for the imaginary part) of column (comp, j, k) is sigma-even when
+    e + w (comp + j) is even.  sigma is (z1, z2) -> (conj z1, conj z2) for
+    rigid (w = 0) and (-conj z1, conj z2) for m-nonminimal with even m
+    (w = 1); it maps t to -t.  None for the families that it does not fix.
+
+    Then a residual row of t-degree d at conj(z) is (-1)^d times the row at
+    z on the sigma-even unknowns and -(-1)^d times it on the sigma-odd ones,
+    so the rows at z alone, split by parity, have the same null space."""
+    if model.family == RIGID:
+        return 0
+    if model.family == M_NONMINIMAL and model.m % 2 == 0:
+        return 1
+    return None
+
+
+def _conjugation_even(model: ModelSpec, z: np.ndarray) -> bool:
+    """Whether the points come as z, then conj(z) (``solver_points``), with
+    P(conj z) = P(z) and dP/dz(conj z) = conj(dP/dz(z)) bit for bit."""
+    h = len(z) // 2
+    if len(z) % 2 or not np.array_equal(z[h:], np.conj(z[:h])):
+        return False
+    p, pw = model.germ(z), model.germ.wirt(z)
+    return np.array_equal(p[h:], p[:h]) and np.array_equal(pw[h:], np.conj(pw[:h]))
+
+
 def _poly_mul(a: dict, b: dict) -> dict:
     out = {}
     for da, va in a.items():
@@ -235,16 +273,20 @@ def assemble(
     """Rows = real parts of the residual's t-coefficients at the z2 points
     (``solver_points(N)`` by default), columns = unit basis fields (re/im
     part of each monomial coefficient, both components), z2^k scaled by
-    1 / max|z2|^k."""
+    1 / max|z2|^k.  Where sigma fixes the model at the points (``_sigma``),
+    each block is its sigma-even and sigma-odd halves, with rows at the
+    first half of the points."""
     if N < 1:
         raise ParameterError("jet order N must be >= 1")
     if points is not None:
         points = tuple(complex(z) for z in points)
     # Each block has a row per z2 point for each of its t-degrees, so the
-    # packed system has at least (points) x (2 x 2 x monomials) entries:
-    # check that before building anything that grows with N.
+    # packed system has at least (points) x (2 x 2 x monomials) entries, half
+    # that where sigma can split the blocks: check that before building
+    # anything that grows with N.
+    w = _sigma(model)
     n_points = len(SOLVER_SHELLS) * (2 * N + 8) if points is None else len(points)
-    least = n_points * 2 * ((N + 1) * (N + 2) - 2 * vanish_at_origin)
+    least = n_points * (1 if w is not None else 2) * ((N + 1) * (N + 2) - 2 * vanish_at_origin)
     if least > MAX_ENTRIES:
         raise ConfigurationError(
             f"jet order {N} gives a system of at least {least} entries, above {MAX_ENTRIES}"
@@ -253,6 +295,8 @@ def assemble(
     if not np.all(np.isfinite(points)) or any(z == 0 for z in points):
         raise ParameterError("z2 points must be finite and avoid the origin exactly")
     _require_curved(model, points, 0.0)
+    z = np.asarray(points)
+    halves = 2 if w is not None and _conjugation_even(model, z) else 1
 
     monos = _monomials(N, include_origin=not vanish_at_origin)
     columns: tuple[Column, ...] = tuple((comp, j, k) for comp in (1, 2) for (j, k) in monos)
@@ -261,7 +305,7 @@ def assemble(
     supports = _column_polys(model, np.empty(0, complex), pairs)
     blocks = _weight_blocks(supports, columns)
     n_rows = len(points) * sum(len(degrees) for degrees, _ in blocks)
-    width = 2 * max(len(cols) for _, cols in blocks)
+    width = 2 * max(len(cols) for _, cols in blocks) // halves
     if n_rows * width > MAX_ENTRIES:
         raise ConfigurationError(
             f"jet order {N} gives a {n_rows} x {width} system, above {MAX_ENTRIES} entries"
@@ -273,8 +317,8 @@ def assemble(
                 f"for {2 * len(cols)} unknowns; need at least a 2x oversampling"
             )
 
-    z = np.asarray(points)
     r = np.max(np.abs(z))
+    z = z[: len(z) // halves]
     polys = _column_polys(model, z, pairs)
     zk = np.array([(z / r) ** k for k in range(N + 1)])
     mat = np.zeros((n_rows, width))
@@ -287,30 +331,53 @@ def assemble(
         span = {pair: (pos[max(supports[pair])], pos[min(supports[pair])])
                 for pair in {columns[i][:2] for i in cols}}
         cols = sorted(cols, key=lambda i: span[columns[i][:2]])
+        last, first = np.array([span[columns[i][:2]] for i in cols]).T
         at: dict = {}  # (comp, j) -> [(position in the block, k)]
         for c, i in enumerate(cols):
             at.setdefault(columns[i][:2], []).append((c, columns[i][2]))
+        h = len(degrees) * len(z)  # rows per half
         for pair, ck in at.items():
             c, k = np.array(ck).T
             for d, v in polys[pair].items():
-                top = start + pos[d] * len(z)
                 b = (v * zk[k]).T
-                mat[top : top + len(z), 2 * c] = b.real   # coefficient 1
-                mat[top : top + len(z), 2 * c + 1] = -b.imag  # coefficient i
-        rows = slice(start, start + len(degrees) * len(z))
-        last, first = np.repeat([span[columns[i][:2]] for i in cols], 2, axis=0).T
-        unknowns = np.ravel([(2 * i, 2 * i + 1) for i in cols])
-        packed.append(Block(degrees=tuple(degrees), rows=rows, unknowns=unknowns,
-                            first=first, last=last))
-        start = rows.stop
-
-    # max |row| without an |mat| copy
-    weights = np.maximum(mat.max(axis=1), -mat.min(axis=1))
-    weights[weights == 0.0] = 1.0
-    mat /= weights[:, None]
+                top = start + pos[d] * len(z)
+                for e, part in enumerate((b.real, -b.imag)):  # coefficient 1, coefficient i
+                    if halves == 2:  # unknown c of half (e + w (comp + j)) mod 2
+                        row = top + (e + w * sum(pair)) % 2 * h
+                        mat[row : row + len(z), c] = part
+                    else:  # unknown 2c + e
+                        mat[top : top + len(z), 2 * c + e] = part
+        for half in range(halves):
+            if halves == 2:
+                unknowns = np.array([2 * i + (half + w * sum(columns[i][:2])) % 2 for i in cols])
+            else:
+                unknowns = np.ravel([(2 * i, 2 * i + 1) for i in cols])
+            block = Block(tuple(degrees), slice(start, start + h), unknowns,
+                          np.repeat(first, 2 // halves), np.repeat(last, 2 // halves))
+            _normalize_rows(mat[block.rows, : len(unknowns)], block)
+            packed.append(block)
+            start += h
     return TangencySystem(
         matrix=mat, columns=columns, model=model, points=points, blocks=tuple(packed)
     )
+
+
+def _normalize_rows(A: np.ndarray, block: Block) -> None:
+    """Divide each row of A, the rows of a block, by its max |entry|, taken
+    over the unknowns in play at the row's degree only: the others are 0."""
+    n_deg = len(block.degrees)
+    h = len(A) // n_deg
+    # In (last, first) order, the unknowns in play at degree p lie in
+    # [lo[p], hi[p]): lo[p] is the first whose last degree is p or later,
+    # hi[p] one past the last whose first degree is p or earlier.
+    lo = np.searchsorted(block.last, np.arange(n_deg)).tolist()
+    hi = np.zeros(n_deg, int)
+    np.maximum.at(hi, block.first, np.arange(1, len(block.first) + 1))
+    for p, top in enumerate(np.maximum.accumulate(hi).tolist()):
+        rows = A[p * h : (p + 1) * h, lo[p] : top]
+        weights = np.abs(rows).max(axis=1)
+        weights[weights == 0.0] = 1.0
+        rows /= weights[:, None]
 
 
 def field_from_vector(x: np.ndarray, columns) -> VectorFieldPoly:
@@ -438,7 +505,8 @@ def nullspace(system: TangencySystem, tau: float = 1e-8) -> AutBasis:
     null_mask = s <= cutoff
     s_above = s[~null_mask]
     s_below = s[null_mask]
-    if len(s_above) == 0 or len(s_below) == 0:
+    if len(s_above) == 0 or s_below.max(initial=0.0) == 0.0:
+        # An empty or full null space, or null values that are exactly 0.
         gap = float("inf")
     else:
         gap = float(s_above.min() / max(s_below.max(), np.finfo(float).tiny))

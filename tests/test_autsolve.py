@@ -81,18 +81,29 @@ def test_assemble_shapes_and_normalization():
 
 
 @pytest.mark.parametrize(
-    "family, m, n_blocks",
+    "family, m, n_classes",
     [(ONE_NONMINIMAL, 1, 7), (RIGID, 1, 1), (M_NONMINIMAL, 2, 1), (M_NONMINIMAL, 3, 2),
      (M_NONMINIMAL, 4, 3), (M_NONMINIMAL, 30, 7)],
 )
-def test_blocks_are_the_t_degree_classes(family, m, n_blocks):
+def test_blocks_are_the_t_degree_classes(family, m, n_classes):
     # m-nonminimal: z1^j reaches t-degrees j mod (m - 1) only, so a block is
     # a class of t-degrees mod (m - 1); at N = 5 classes 0..6 are occupied.
+    # Rigid and even m split each class into its sigma-even and sigma-odd
+    # halves, which hold one entry of each of the class's columns.
+    halves = 2 if family == RIGID or (family == M_NONMINIMAL and m % 2 == 0) else 1
     system = assemble(ModelSpec(family, get_germ("p1"), m=m), N=5)
-    assert len(system.blocks) == n_blocks
-    for b in system.blocks:
+    assert len(system.blocks) == n_classes * halves
+    for c in range(n_classes):
+        pair = system.blocks[halves * c : halves * (c + 1)]
+        assert len({b.degrees for b in pair}) == 1
         if family == M_NONMINIMAL and m > 2:
-            assert len({d % (m - 1) for d in b.degrees}) == 1
+            assert len({d % (m - 1) for d in pair[0].degrees}) == 1
+        unknowns = np.concatenate([b.unknowns for b in pair])
+        assert sorted(unknowns) == sorted({2 * (u // 2) + e for u in unknowns for e in (0, 1)})
+    # Each row is normalised over the unknowns in play at its degree, which
+    # hold all of its non-zero entries.
+    row_max = np.max(np.abs(system.matrix), axis=1)
+    assert np.all((row_max == 1.0) | (row_max == 0.0)) and np.any(row_max == 1.0)
 
 
 def test_blocks_come_from_degrees_not_values():
@@ -135,14 +146,108 @@ def test_blocks_join_pairs_as_the_per_column_rule_joins_columns(family, m):
     (RIGID, 1, lambda comp, j: (0, j)),
 ])
 def test_block_unknowns_follow_their_t_degree_staircase(family, m, span):
+    # One class, split into its sigma halves: each holds one entry of every
+    # column, in the same order, with the column's span.
     system = assemble(ModelSpec(family, get_germ("p1"), m=m), N=6)
-    (b,) = system.blocks
-    columns = [system.columns[u // 2] for u in b.unknowns]
-    got = [(b.degrees[f], b.degrees[l]) for f, l in zip(b.first, b.last)]
-    assert got == [span(comp, j) for comp, j, _ in columns]
-    # Ordered by (last, first), each pair keeping its column order.
-    order = sorted(range(len(columns)), key=lambda u: (b.last[u], b.first[u], b.unknowns[u]))
-    assert order == list(range(len(columns)))
+    even, odd = system.blocks
+    assert np.array_equal(even.unknowns // 2, odd.unknowns // 2)
+    assert np.array_equal(even.unknowns + odd.unknowns, 4 * (even.unknowns // 2) + 1)
+    for b in (even, odd):
+        columns = [system.columns[u // 2] for u in b.unknowns]
+        got = [(b.degrees[f], b.degrees[l]) for f, l in zip(b.first, b.last)]
+        assert got == [span(comp, j) for comp, j, _ in columns]
+        # Ordered by (last, first), each pair keeping its column order.
+        order = sorted(range(len(columns)), key=lambda u: (b.last[u], b.first[u], b.unknowns[u]))
+        assert order == list(range(len(columns)))
+
+
+@pytest.mark.parametrize("N", range(1, 17))
+def test_solver_points_are_closed_under_conjugation(N):
+    # N + 4 angles in the upper half plane on each shell, then their exact
+    # conjugates: 2N + 8 equally spaced angles per shell, none on the real axis.
+    z = np.asarray(solver_points(N))
+    h = len(z) // 2
+    assert len(z) == 5 * (2 * N + 8)
+    assert np.array_equal(z[h:], np.conj(z[:h])) and np.all(z[:h].imag > 0)
+    for r in (0.15, 0.25, 0.35, 0.45, 0.55):
+        shell = np.sort(np.angle(z[np.isclose(np.abs(z), r, rtol=1e-14)]))
+        assert len(shell) == 2 * N + 8
+        assert np.allclose(np.diff(shell), 2 * np.pi / (2 * N + 8), rtol=0, atol=1e-12)
+        assert np.isclose(shell[0], -np.pi + np.pi / (2 * N + 8), rtol=0, atol=1e-12)
+
+
+def mirrored(N):
+    """The solver's points, each followed by its conjugate.  They are not in
+    the (z, then conj z) layout of ``solver_points``, so no block splits."""
+    z = np.asarray(solver_points(N))
+    return tuple(np.column_stack((z[: len(z) // 2], z[len(z) // 2 :])).ravel())
+
+
+SIGMA_MODELS = [
+    pytest.param(family, m, germ, id=f"{family}-{m}-{germ}")
+    for family, m in [(RIGID, 1), (M_NONMINIMAL, 2), (M_NONMINIMAL, 4)]
+    for germ in ["p1", "p2", "p3", "control"]
+]
+
+
+@pytest.mark.parametrize("family, m, germ", SIGMA_MODELS)
+def test_rows_at_conjugate_points_follow_the_sigma_signs(family, m, germ):
+    # sigma maps t to -t: the row of degree d at conj(z) is (-1)^d times the
+    # row at z on the sigma-even unknowns, -(-1)^d times it on the odd ones.
+    model = ModelSpec(family, get_germ(germ), m=m)
+    w = 0 if family == RIGID else 1
+    for N in range(2, 17):
+        system = assemble(model, N, points=mirrored(N))
+        for b in system.blocks:
+            A = system.matrix[b.rows, : len(b.unknowns)]
+            A = A.reshape(len(b.degrees), -1, 2, len(b.unknowns))  # degree, pair, z or conj z
+            comp, j = np.array([system.columns[u // 2][:2] for u in b.unknowns]).T
+            parity = (-1.0) ** (b.unknowns % 2 + w * (comp + j))
+            sign = (-1.0) ** np.array(b.degrees)[:, None, None] * parity
+            assert np.array_equal(A[:, :, 1], sign * A[:, :, 0])
+
+
+@pytest.mark.parametrize("family, m, germ", SIGMA_MODELS)
+@pytest.mark.parametrize("N", [5, 8, 12])
+def test_sigma_halves_keep_the_null_space(family, m, germ, N):
+    # The halves, with rows at one point of each conjugate pair, against the
+    # unsplit system at both points: the same null space.  The full algebra,
+    # so that rigid models keep i dz1 and p3 keeps i dz2.
+    model = ModelSpec(family, get_germ(germ), m=m)
+    split = assemble(model, N, vanish_at_origin=False)
+    unsplit = assemble(model, N, points=mirrored(N), vanish_at_origin=False)
+    assert len(split.blocks) == 2 * len(unsplit.blocks)
+    assert set(split.points) == set(unsplit.points) and split.n_samples == unsplit.n_samples
+    # Each class's sigma-even half, then its odd half: the parities of
+    # test_rows_at_conjugate_points_follow_the_sigma_signs.
+    w = 0 if family == RIGID else 1
+    for i, b in enumerate(split.blocks):
+        comp, j = np.array([split.columns[u // 2][:2] for u in b.unknowns]).T
+        assert np.all((b.unknowns + w * (comp + j)) % 2 == i % 2)
+    a, b = nullspace(split), nullspace(unsplit)
+    assert a.dimension == b.dimension
+    Qa, Qb = (np.linalg.qr((x.coefficients.view(float) / split.scale).T)[0] for x in (a, b))
+    # The sine of the largest principal angle.
+    assert np.linalg.norm(Qb - Qa @ (Qa.T @ Qb), 2) <= 1e-8
+
+
+@pytest.mark.parametrize("family, m, germ", [
+    (RIGID, 1, "counterexample"), (M_NONMINIMAL, 2, "counterexample"),
+    *((M_NONMINIMAL, 3, germ) for germ in ["p1", "control"]),
+    *((ONE_NONMINIMAL, 1, germ) for germ in ["p1", "p2", "p3", "control", "counterexample"]),
+])
+def test_nothing_splits_without_sigma(family, m, germ):
+    # The counterexample germ is not conjugation-even; odd m and
+    # one-nonminimal models have no sigma.
+    model = ModelSpec(family, get_germ(germ), m=m)
+    for N in (2, 5, 12):
+        system = assemble(model, N)
+        columns = [(c, j, k) for c in (1, 2) for j, k in _monomials(N, False)]
+        polys = _column_polys(model, np.empty(0, complex), {c[:2] for c in columns})
+        assert len(system.blocks) == len(_weight_blocks(polys, columns))
+        for b in system.blocks:
+            assert np.array_equal(b.unknowns[1::2], b.unknowns[::2] + 1)
+            assert np.all(b.unknowns[::2] % 2 == 0)
 
 
 def test_assemble_requires_oversampling():
@@ -152,10 +257,15 @@ def test_assemble_requires_oversampling():
 
 
 @pytest.mark.parametrize("family, m, N, message", [
-    # 43 t-degrees x 240 points against the block's 920 unknowns.
-    (M_NONMINIMAL, 2, 20, "10320 x 920 system, above 8388608 entries"),
-    # Refused from the unknowns and points alone, before any N^2 work.
-    (M_NONMINIMAL, 2, 10**12, "at least 20000000000140000000000240000000000000 entries"),
+    # 51 t-degrees x 280 points against a half's 648 unknowns.
+    (M_NONMINIMAL, 2, 24, "14280 x 648 system, above 8388608 entries"),
+    # 30 t-degrees x 330 points against a half's 928 unknowns.
+    (RIGID, 1, 29, "9900 x 928 system, above 8388608 entries"),
+    # Refused from the unknowns and points alone, before any N^2 work:
+    # points x unknowns, halved where sigma can split the blocks.
+    (M_NONMINIMAL, 2, 10**12, "at least 10000000000070000000000120000000000000 entries"),
+    (RIGID, 1, 10**12, "at least 10000000000070000000000120000000000000 entries"),
+    (M_NONMINIMAL, 3, 10**12, "at least 20000000000140000000000240000000000000 entries"),
     (ONE_NONMINIMAL, 1, 80, "at least 11155200 entries"),
 ])
 def test_assemble_refuses_a_system_beyond_its_size_limit(family, m, N, message):
@@ -203,6 +313,16 @@ def test_nullspace_finds_two_dimensional_algebra_for_p1():
     assert basis.gap >= 1e3
     assert basis.status == "confident"
     assert all(r < 1e-12 for r in basis.validation_residuals)
+
+
+@pytest.mark.parametrize("germ", ["p2", "p3"])
+def test_exact_zero_null_values_give_no_finite_gap(germ):
+    # z1 dz1's real-part column is exactly 0, and it is the whole null space
+    # at N = 5: the gap is no ratio of the spectrum, and the report writes null.
+    basis, report = solve_model(ModelSpec(ONE_NONMINIMAL, get_germ(germ)), N=5)
+    assert basis.dimension == 1 and basis.singular_values[-1] == 0.0
+    assert basis.gap == float("inf") and report["gap"] is None
+    assert basis.status == "confident"
 
 
 def test_nontangent_direction_has_large_residual():
@@ -366,7 +486,8 @@ def per_vector_report(model, N):
     basis = [field_from_vector(x, system.columns) for (_, x), n in zip(vectors, null) if n]
     resids = [validation_residual(model, f) for f in basis]
     tiny = np.finfo(float).tiny
-    gap = float(s[~null].min() / max(s[null].max(), tiny)) if 0 < null.sum() < len(s) else None
+    finite = 0 < null.sum() < len(s) and s[null].max() > 0
+    gap = float(s[~null].min() / max(s[null].max(), tiny)) if finite else None
     p_max = min(1.0, float(np.max(model.germ(np.asarray(validation_grid().z2_values)))))
     certified = all(
         r <= CERT_TOL * p_max * max(f.max_coefficient(), tiny) for r, f in zip(resids, basis)

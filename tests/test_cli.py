@@ -170,6 +170,8 @@ def test_out_dir_env_var(tmp_path, monkeypatch):
         ["counterexample", "--t0", "nan"],
         # Refused by its size before any work that grows with the jet order.
         ["solve", "--jet", "100000000"],
+        ["solve", "--family", "rigid", "--jet", "100000000"],
+        ["solve", "--family", "m-nonminimal", "--m", "2", "--jet", "100000000"],
     ],
 )
 def test_non_finite_or_out_of_range_input_is_invalid(args, tmp_path):
