@@ -3,8 +3,9 @@
 Each model is a real hypersurface in C^2 built from a smooth germ P that
 vanishes to infinite order at the origin.  The solver expands the tangency
 identity exactly in the surface parameter t at sampled z2 points, extracts
-the numerical null space one t-degree block at a time, and labels the basis
-against a dictionary of canonical fields.
+the numerical null space one t-degree block at a time (for a radial germ in
+the rigid and m-nonminimal families, one rotation frequency at a time), and
+labels the basis against a dictionary of canonical fields.
 """
 
 from crlab import (
@@ -17,10 +18,15 @@ from crlab import (
 
 
 def show(title, basis, report):
+    # A radial germ's rigid and m-nonminimal systems are graded by rotation
+    # frequency: each basis field then carries the |f| of its block.
+    labels = basis.labels
+    if basis.frequencies is not None:
+        labels = [f"{label} (|f| = {f})" for label, f in zip(labels, basis.frequencies)]
     print(f"\n{title}")
     print(f"  dimension      : {basis.dimension}  ({basis.status})")
     print(f"  spectral gap   : {basis.gap:.2e}")
-    print(f"  basis          : {basis.labels}")
+    print(f"  basis          : {labels}")
     print(f"  validation sup : {max(report['validation_residuals'], default=0.0):.2e}")
 
 

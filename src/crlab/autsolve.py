@@ -10,8 +10,13 @@ matrix is block diagonal, and each block is factored on its own, one t-degree
 at a time: an unknown whose last degree is passed leaves the factorization.
 Where an antiholomorphic involution fixes the model, each block splits again
 into its even and odd halves, with rows at one point of each conjugate pair.
-Every reported basis vector is re-validated, exactly in t, at independent z2
-points.
+A radial germ (P depends on |z2| only) makes the rigid and m-nonminimal
+systems U(1)-equivariant: a monomial column carries one angular frequency
+f, columns of frequency +-f meet only the residual's frequency-f Fourier
+rows, and each block is graded into one small block per |f|, whose rows
+come from the real point of each shell.  Every reported basis vector is
+re-validated, exactly in t, at independent z2 points, so a germ wrongly
+declared radial fails certification.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import numpy as np
 
 from .errors import ConfigurationError, ParameterError
 from .fields import VectorFieldPoly, monomial_field
-from .models import M_NONMINIMAL, RIGID, ModelSpec, surface_polys
+from .models import M_NONMINIMAL, ONE_NONMINIMAL, RIGID, ModelSpec, surface_polys
 
 Column = tuple[int, int, int]  # (component, j, k): vector entries 2i (re), 2i+1 (im)
 
@@ -109,13 +114,15 @@ class Block:
     ``degrees[last[u]]``; the unknowns are ordered by (last, first).  A
     block split by its conjugation (see ``_sigma``) is two of these, the
     sigma-even and the sigma-odd unknowns, each with rows at the first half
-    of the points only."""
+    of the points only.  A block of a graded system holds the columns of
+    one rotation frequency |f|, ``frequency``; it is None elsewhere."""
 
     degrees: tuple
     rows: slice
     unknowns: np.ndarray
     first: np.ndarray
     last: np.ndarray
+    frequency: int | None
 
 
 @dataclass(frozen=True)
@@ -142,6 +149,11 @@ class TangencySystem:
         return 2 * len(self.columns)
 
     @property
+    def graded(self) -> bool:
+        """Whether the blocks are graded by rotation frequency (``assemble``)."""
+        return self.blocks[0].frequency is not None
+
+    @property
     def n_samples(self) -> int:
         return self.matrix.shape[0]
 
@@ -153,7 +165,9 @@ class TangencySystem:
 @dataclass
 class AutBasis:
     """The null space as one block of coefficient rows: ``coefficients[i, c]``
-    is basis vector i's coefficient on the monomial ``columns[c]``."""
+    is basis vector i's coefficient on the monomial ``columns[c]``.  For a
+    graded system ``frequencies[i]`` is row i's rotation frequency |f|; it
+    is None otherwise."""
 
     singular_values: np.ndarray
     columns: tuple
@@ -163,6 +177,7 @@ class AutBasis:
     status: str
     validation_residuals: list
     projection_residuals: list
+    frequencies: list | None
 
     @property
     def basis(self) -> list:
@@ -264,6 +279,14 @@ def _weight_blocks(polys: dict, columns) -> list:
     return sorted((sorted(degrees), c) for (degrees, _), c in zip(blocks, cols))
 
 
+def _frequency(column: Column) -> int:
+    """The angular frequency f of column (comp, j, k) on a radial model: at
+    z2 = r e^{i phi} its residual terms carry e^{i f phi}, f = k for comp 1
+    and k - 1 for comp 2, because dP/dz carries e^{-i phi}."""
+    comp, _, k = column
+    return k if comp == 1 else k - 1
+
+
 def assemble(
     model: ModelSpec,
     N: int,
@@ -275,18 +298,31 @@ def assemble(
     part of each monomial coefficient, both components), z2^k scaled by
     1 / max|z2|^k.  Where sigma fixes the model at the points (``_sigma``),
     each block is its sigma-even and sigma-odd halves, with rows at the
-    first half of the points."""
+    first half of the points.
+
+    A rigid or m-nonminimal model with a radial germ, at the default points,
+    is graded by rotation frequency instead: each block splits into one
+    block per |f| (``_frequency``), whose rows are the frequency-f Fourier
+    components of the residual along each shell.  They are the rows at
+    phi = 0 and pi / (2f) on the frequency +-f columns, or at phi = 0 alone
+    for f = 0, and both come from the shell's real point r: the column's
+    value at r e^{i pi / (2f)} is its value at r times i^(sign f).  Where
+    sigma fixes the model, the frequency-f rows of degree d at phi = 0 meet
+    only the unknowns of parity d, those at pi / (2f) only the others, so
+    each f >= 1 block is two halves, one angle per degree each."""
     if N < 1:
         raise ParameterError("jet order N must be >= 1")
     if points is not None:
         points = tuple(complex(z) for z in points)
     # Each block has a row per z2 point for each of its t-degrees, so the
     # packed system has at least (points) x (2 x 2 x monomials) entries, half
-    # that where sigma can split the blocks: check that before building
-    # anything that grows with N.
+    # that where sigma can split the blocks, and a graded block has at least
+    # a row per shell: check that before building anything that grows with N.
     w = _sigma(model)
+    graded = points is None and model.germ.radial and model.family != ONE_NONMINIMAL
     n_points = len(SOLVER_SHELLS) * (2 * N + 8) if points is None else len(points)
-    least = n_points * (1 if w is not None else 2) * ((N + 1) * (N + 2) - 2 * vanish_at_origin)
+    per_column = 2 * len(SOLVER_SHELLS) if graded else n_points * (1 if w is not None else 2)
+    least = per_column * ((N + 1) * (N + 2) - 2 * vanish_at_origin)
     if least > MAX_ENTRIES:
         raise ConfigurationError(
             f"jet order {N} gives a system of at least {least} entries, above {MAX_ENTRIES}"
@@ -296,34 +332,22 @@ def assemble(
         raise ParameterError("z2 points must be finite and avoid the origin exactly")
     _require_curved(model, points, 0.0)
     z = np.asarray(points)
-    halves = 2 if w is not None and _conjugation_even(model, z) else 1
+    r = np.max(np.abs(z))
+    if graded:
+        # Each shell's real point, which is its own conjugate.
+        z = np.array(SOLVER_SHELLS, complex)
+        halves = 2 if w is not None and _conjugation_even(model, np.tile(z, 2)) else 1
+    else:
+        halves = 2 if w is not None and _conjugation_even(model, z) else 1
+        z = z[: len(z) // halves]
 
     monos = _monomials(N, include_origin=not vanish_at_origin)
     columns: tuple[Column, ...] = tuple((comp, j, k) for comp in (1, 2) for (j, k) in monos)
     pairs = {(comp, j) for comp, j, _ in columns}
     # The supports alone, from the polynomials at no point.
     supports = _column_polys(model, np.empty(0, complex), pairs)
-    blocks = _weight_blocks(supports, columns)
-    n_rows = len(points) * sum(len(degrees) for degrees, _ in blocks)
-    width = 2 * max(len(cols) for _, cols in blocks) // halves
-    if n_rows * width > MAX_ENTRIES:
-        raise ConfigurationError(
-            f"jet order {N} gives a {n_rows} x {width} system, above {MAX_ENTRIES} entries"
-        )
-    for degrees, cols in blocks:
-        if len(degrees) * len(points) < 4 * len(cols):
-            raise ConfigurationError(
-                f"the block of t-degrees {degrees} has {len(degrees) * len(points)} rows "
-                f"for {2 * len(cols)} unknowns; need at least a 2x oversampling"
-            )
-
-    r = np.max(np.abs(z))
-    z = z[: len(z) // halves]
-    polys = _column_polys(model, z, pairs)
-    zk = np.array([(z / r) ** k for k in range(N + 1)])
-    mat = np.zeros((n_rows, width))
-    packed, start = [], 0
-    for degrees, cols in blocks:
+    layout = []  # per block: degrees, columns, first, last, parts
+    for degrees, cols in _weight_blocks(supports, columns):
         pos = {d: p for p, d in enumerate(degrees)}
         # Where each column first and last appears, and the columns in
         # (last, first) order; sorted() is stable, so a one-degree block
@@ -332,14 +356,63 @@ def assemble(
                 for pair in {columns[i][:2] for i in cols}}
         cols = sorted(cols, key=lambda i: span[columns[i][:2]])
         last, first = np.array([span[columns[i][:2]] for i in cols]).T
+        # The block's parts: (frequency, sigma half or None for both entries,
+        # positions of its columns, angles per degree, positions of the
+        # degrees where one of those columns is in play: its other rows are 0).
+        if graded:
+            freq = np.array([abs(_frequency(columns[i])) for i in cols])
+            groups = [(f, np.flatnonzero(freq == f)) for f in np.unique(freq).tolist()]
+        else:
+            groups = [(None, np.arange(len(cols)))]
+        parts = []
+        for f, c in groups:
+            # +1 where a column's span starts, -1 one past where it ends.
+            edges = np.zeros(len(degrees) + 1, int)
+            np.add.at(edges, first[c], 1)
+            np.add.at(edges, last[c] + 1, -1)
+            kept = np.flatnonzero(np.cumsum(edges)[:-1])
+            if halves == 2 and f != 0:
+                parts += [(f, half, c, 1, kept) for half in (0, 1)]
+            else:  # both entries, and both angles for a graded f >= 1
+                parts.append((f, None, c, 2 if f else 1, kept))
+        layout.append((degrees, cols, first, last, parts))
+    n_rows = len(z) * sum(len(kept) * angles for *_, parts in layout for *_, angles, kept in parts)
+    width = max(len(c) * (1 if half is not None else 2)
+                for *_, parts in layout for _, half, c, _, _ in parts)
+    if n_rows * width > MAX_ENTRIES:
+        raise ConfigurationError(
+            f"jet order {N} gives a {n_rows} x {width} system, above {MAX_ENTRIES} entries"
+        )
+    for degrees, cols, *_ in layout:
+        if len(degrees) * n_points < 4 * len(cols):
+            raise ConfigurationError(
+                f"the block of t-degrees {degrees} has {len(degrees) * n_points} rows "
+                f"for {2 * len(cols)} unknowns; need at least a 2x oversampling"
+            )
+
+    polys = _column_polys(model, z, pairs)
+    zk = np.array([(z / r) ** k for k in range(N + 1)])
+    mat = np.zeros((n_rows, width))
+    packed, start = [], 0
+    for degrees, cols, first, last, parts in layout:
+        pos = {d: p for p, d in enumerate(degrees)}
+        h = len(degrees) * len(z)  # rows per half
+        if graded:
+            # The complex values b, (degree, point, column): entry e of a
+            # column is Re(b) (e = 0, coefficient 1) or -Im(b) (e = 1,
+            # coefficient i).  At pi / (2f) a column's value is b i^(sign f).
+            values = np.zeros((len(degrees), len(z), len(cols)), complex)
+            turn = np.where([_frequency(columns[i]) > 0 for i in cols], 1j, -1j)
         at: dict = {}  # (comp, j) -> [(position in the block, k)]
         for c, i in enumerate(cols):
             at.setdefault(columns[i][:2], []).append((c, columns[i][2]))
-        h = len(degrees) * len(z)  # rows per half
         for pair, ck in at.items():
             c, k = np.array(ck).T
             for d, v in polys[pair].items():
                 b = (v * zk[k]).T
+                if graded:
+                    values[pos[d]][:, c] = b
+                    continue
                 top = start + pos[d] * len(z)
                 for e, part in enumerate((b.real, -b.imag)):  # coefficient 1, coefficient i
                     if halves == 2:  # unknown c of half (e + w (comp + j)) mod 2
@@ -347,34 +420,56 @@ def assemble(
                         mat[row : row + len(z), c] = part
                     else:  # unknown 2c + e
                         mat[top : top + len(z), 2 * c + e] = part
-        for half in range(halves):
-            if halves == 2:
-                unknowns = np.array([2 * i + (half + w * sum(columns[i][:2])) % 2 for i in cols])
-            else:
-                unknowns = np.ravel([(2 * i, 2 * i + 1) for i in cols])
-            block = Block(tuple(degrees), slice(start, start + h), unknowns,
-                          np.repeat(first, 2 // halves), np.repeat(last, 2 // halves))
+        for f, half, c, angles, kept in parts:
+            height = len(kept) * len(z) * angles
+            if half is None:
+                unknowns = np.ravel([(2 * cols[i], 2 * cols[i] + 1) for i in c])
+            else:  # entry (half + w (comp + j)) mod 2 of each column
+                unknowns = 2 * np.array(cols)[c] + (half + w * np.array(
+                    [sum(columns[cols[i]][:2]) for i in c])) % 2
+            if graded:
+                b = values[:, :, c][kept]
+                if half is None:
+                    if angles == 2:
+                        b = np.concatenate((b, b * turn[c]), axis=1)
+                    rows = np.stack((b.real, -b.imag), axis=-1)
+                else:  # the angle (half + d) mod 2 at degree d
+                    odd = (half + np.array(degrees)[kept]) % 2 == 1
+                    b = np.where(odd[:, None, None], b * turn[c], b)
+                    rows = np.where(unknowns % 2 == 0, b.real, -b.imag)
+                mat[start : start + height, : len(unknowns)] = rows.reshape(height, -1)
+            first_, last_ = (np.repeat(np.searchsorted(kept, x[c]), len(unknowns) // len(c))
+                             for x in (first, last))
+            block = Block(tuple(np.array(degrees)[kept].tolist()), slice(start, start + height),
+                          unknowns, first_, last_, f)
             _normalize_rows(mat[block.rows, : len(unknowns)], block)
             packed.append(block)
-            start += h
+            start += height
     return TangencySystem(
         matrix=mat, columns=columns, model=model, points=points, blocks=tuple(packed)
     )
 
 
 def _normalize_rows(A: np.ndarray, block: Block) -> None:
-    """Divide each row of A, the rows of a block, by its max |entry|, taken
-    over the unknowns in play at the row's degree only: the others are 0."""
+    """Divide each row of A, the rows of a block, by its max |entry|.  Off
+    the unknowns in play at the row's degree the entries are 0, so the max
+    is taken over those only, degree by degree; a graded block has too few
+    rows per degree for that loop to pay, and takes it over whole rows."""
     n_deg = len(block.degrees)
     h = len(A) // n_deg
-    # In (last, first) order, the unknowns in play at degree p lie in
-    # [lo[p], hi[p]): lo[p] is the first whose last degree is p or later,
-    # hi[p] one past the last whose first degree is p or earlier.
-    lo = np.searchsorted(block.last, np.arange(n_deg)).tolist()
-    hi = np.zeros(n_deg, int)
-    np.maximum.at(hi, block.first, np.arange(1, len(block.first) + 1))
-    for p, top in enumerate(np.maximum.accumulate(hi).tolist()):
-        rows = A[p * h : (p + 1) * h, lo[p] : top]
+    if block.frequency is not None:
+        spans = [(0, len(A), 0, A.shape[1])]
+    else:
+        # In (last, first) order, the unknowns in play at degree p lie in
+        # [lo[p], hi[p]): lo[p] is the first whose last degree is p or
+        # later, hi[p] one past the last whose first degree is p or earlier.
+        lo = np.searchsorted(block.last, np.arange(n_deg)).tolist()
+        hi = np.zeros(n_deg, int)
+        np.maximum.at(hi, block.first, np.arange(1, len(block.first) + 1))
+        spans = [(p * h, (p + 1) * h, lo[p], top)
+                 for p, top in enumerate(np.maximum.accumulate(hi).tolist())]
+    for r0, r1, c0, c1 in spans:
+        rows = A[r0:r1, c0:c1]
         weights = np.abs(rows).max(axis=1)
         weights[weights == 0.0] = 1.0
         rows /= weights[:, None]
@@ -448,31 +543,39 @@ def _validation_residuals(model: ModelSpec, C: np.ndarray, columns) -> np.ndarra
 def _r_factor(A: np.ndarray, block: Block) -> np.ndarray:
     """The n x n R of A = QR, for the rows A of a block with n unknowns.
 
-    The block's degrees are taken in order.  Each stacks the R so far, on the
-    unknowns in play (first <= degree <= last), on the degree's rows, in
-    chunks, so that no QR holds more than 4 x (unknowns in play) rows.  When
-    a degree is done, the R rows of the unknowns whose last degree it is are
-    final, and R shrinks to the others.  The unknowns come in (last, first)
-    order, so the final rows are R's leading ones.  A one-degree block is a
-    QR of its first 4n rows, then of R stacked on 3n rows at a time."""
+    The block's degrees are taken in order.  Each step stacks the R so far,
+    on the unknowns in play (first <= degree <= last), on one degree's rows,
+    in chunks of at most 4 x (unknowns in play) rows.  A graded block has
+    only a few rows per degree, so there a step takes as many whole degrees
+    as fit in one such chunk: a QR per degree would be all call overhead.
+    When a step is done, the R rows of the unknowns whose last degree it
+    passed are final, and R shrinks to the others.  The unknowns come in
+    (last, first) order, so the final rows are R's leading ones.  A
+    one-degree block is a QR of its first 4n rows, then of R stacked on 3n
+    rows at a time."""
     n = A.shape[1]
-    h = len(A) // len(block.degrees)  # rows per degree
+    n_deg = len(block.degrees)
+    h = len(A) // n_deg  # rows per degree
     out = np.zeros((n, n))
-    R, play, done = np.zeros((0, 0)), np.arange(0), 0
-    for p in range(len(block.degrees)):
+    R, play, done, p = np.zeros((0, 0)), np.arange(0), 0, 0
+    while p < n_deg:
         # Unknowns before ``done`` have their last degree behind them.
-        now = done + np.flatnonzero(block.first[done:] <= p)
+        q = p
+        while block.frequency is not None and q + 1 < n_deg and (
+                (q + 2 - p) * h + len(R) <= 4 * np.count_nonzero(block.first[done:] <= q + 1)):
+            q += 1
+        now = done + np.flatnonzero(block.first[done:] <= q)
         grown = np.zeros((len(R), len(now)))
         grown[:, np.searchsorted(now, play)] = R
-        R, rows = grown, A[p * h : (p + 1) * h, now]
+        R, rows = grown, A[p * h : (q + 1) * h, now]
         i = 0
-        while i < h:
+        while i < len(rows):
             chunk = 4 * len(now) - len(R)
             R = np.linalg.qr(np.vstack((R, rows[i : i + chunk])), mode="r")
             i += chunk
-        k = np.count_nonzero(block.last[now] == p)  # now[:k] = done, ..., done + k - 1
+        k = np.count_nonzero(block.last[now] <= q)  # now[:k] = done, ..., done + k - 1
         out[done : done + min(k, len(R)), now] = R[:k]
-        R, play, done = R[k:, k:], now[k:], done + k
+        R, play, done, p = R[k:, k:], now[k:], done + k, q + 1
     return out
 
 
@@ -514,8 +617,8 @@ def nullspace(system: TangencySystem, tau: float = 1e-8) -> AutBasis:
     # Each null vector on its block's unknowns, in the merged order.
     starts = np.cumsum([0] + [len(sb) for sb, _ in factors])
     V = np.zeros((len(s_below), system.n_unknowns))
-    for row, i in enumerate(order[null_mask]):
-        b = np.searchsorted(starts, i, side="right") - 1
+    block_of = np.searchsorted(starts, order[null_mask], side="right") - 1
+    for row, (i, b) in enumerate(zip(order[null_mask], block_of)):
         V[row, system.blocks[b].unknowns] = factors[b][1][i - starts[b]]
     C = (V * system.scale + 0.0).view(complex)  # as in field_from_vector
     resids = _validation_residuals(system.model, C, system.columns)
@@ -543,6 +646,7 @@ def nullspace(system: TangencySystem, tau: float = 1e-8) -> AutBasis:
         status=status,
         validation_residuals=resids.tolist(),
         projection_residuals=[],
+        frequencies=[system.blocks[b].frequency for b in block_of] if system.graded else None,
     )
 
 
@@ -615,6 +719,8 @@ def canonicalize(basis: AutBasis) -> AutBasis:
                 coefficients=unit,
                 labels=[label for label, _ in matched],
                 projection_residuals=proj_residuals,
+                frequencies=None if basis.frequencies is None
+                else [abs(_frequency(keys[i // 2])) for _, i in matched],
             )
 
     labels = [label for label, _ in matched][:dim]
@@ -647,6 +753,7 @@ def solve_model(
         "status": labeled.status,
         "basis": [f.to_records() for f in labeled.basis],
         "labels": labeled.labels,
+        "frequencies": labeled.frequencies,
         "validation_residuals": [float(r) for r in labeled.validation_residuals],
         "projection_residuals": [float(r) for r in labeled.projection_residuals],
     }

@@ -43,6 +43,11 @@ class SmoothGerm:
         """Analytic Wirtinger derivative dP/dz = (P_x - i P_y)/2."""
         return self._evaluate(self.wirt_fn, z, complex)
 
+    @property
+    def radial(self) -> bool:
+        """Whether the catalog records P(z) as a function of |z| alone."""
+        return self.id in RADIAL_IDS
+
     def _evaluate(self, fn, z, scalar):
         """fn on z once z is in the disk; scalar(...) of it on a scalar z."""
         z = np.asarray(z, dtype=complex)
@@ -194,6 +199,8 @@ _CATALOG = {
 }
 
 CATALOG_IDS = (*_CATALOG, "counterexample")
+# The germs invariant under z -> e^{i theta} z (``SmoothGerm.radial``).
+RADIAL_IDS = frozenset({"p1", "control"})
 
 
 def get_germ(germ_id: str, a: float = 1.0) -> SmoothGerm:

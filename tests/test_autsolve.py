@@ -80,26 +80,72 @@ def test_assemble_shapes_and_normalization():
     assert np.allclose(sys5.scale, [0.55 ** -k for _, _, k in sys5.columns for _ in "ri"])
 
 
+CLASSES = [(ONE_NONMINIMAL, 1, 7), (RIGID, 1, 1), (M_NONMINIMAL, 2, 1), (M_NONMINIMAL, 3, 2),
+           (M_NONMINIMAL, 4, 3), (M_NONMINIMAL, 30, 7)]
+
+
+def frequency(column):
+    """|f| of column (comp, j, k): its angular frequency on a radial model."""
+    comp, _, k = column
+    return abs(k if comp == 1 else k - 1)
+
+
+def by_class(system):
+    """The system's blocks, grouped by the t-degree class of their columns."""
+    polys = _column_polys(system.model, np.empty(0, complex), {c[:2] for c in system.columns})
+    classes = _weight_blocks(polys, system.columns)
+    owner = {i: n for n, (_, cols) in enumerate(classes) for i in cols}
+    grouped = [[] for _ in classes]
+    for b in system.blocks:
+        grouped[owner[b.unknowns[0] // 2]].append(b)
+    return [(degrees, cols, blocks) for (degrees, cols), blocks in zip(classes, grouped)]
+
+
 @pytest.mark.parametrize(
-    "family, m, n_classes",
-    [(ONE_NONMINIMAL, 1, 7), (RIGID, 1, 1), (M_NONMINIMAL, 2, 1), (M_NONMINIMAL, 3, 2),
-     (M_NONMINIMAL, 4, 3), (M_NONMINIMAL, 30, 7)],
+    "family, m, n_classes, germ, graded",
+    # p1 at the solver's points passed explicitly: the sigma layout, as the
+    # non-radial p2 and p3 give it.  At the default points the radial p1
+    # and control are graded.
+    [pytest.param(*case, "p1", False, id="-".join(map(str, case))) for case in CLASSES]
+    + [pytest.param(*case, germ, True, id=f"graded-{germ}-" + "-".join(map(str, case)))
+       for case in CLASSES if case[0] != ONE_NONMINIMAL for germ in ("p1", "control")],
 )
-def test_blocks_are_the_t_degree_classes(family, m, n_classes):
+def test_blocks_are_the_t_degree_classes(family, m, n_classes, germ, graded):
     # m-nonminimal: z1^j reaches t-degrees j mod (m - 1) only, so a block is
     # a class of t-degrees mod (m - 1); at N = 5 classes 0..6 are occupied.
     # Rigid and even m split each class into its sigma-even and sigma-odd
     # halves, which hold one entry of each of the class's columns.
     halves = 2 if family == RIGID or (family == M_NONMINIMAL and m % 2 == 0) else 1
-    system = assemble(ModelSpec(family, get_germ("p1"), m=m), N=5)
-    assert len(system.blocks) == n_classes * halves
-    for c in range(n_classes):
-        pair = system.blocks[halves * c : halves * (c + 1)]
-        assert len({b.degrees for b in pair}) == 1
-        if family == M_NONMINIMAL and m > 2:
-            assert len({d % (m - 1) for d in pair[0].degrees}) == 1
-        unknowns = np.concatenate([b.unknowns for b in pair])
-        assert sorted(unknowns) == sorted({2 * (u // 2) + e for u in unknowns for e in (0, 1)})
+    model = ModelSpec(family, get_germ(germ), m=m)
+    if not graded:
+        system = assemble(model, N=5, points=solver_points(5))
+        assert not system.graded
+        assert len(system.blocks) == n_classes * halves
+        for c in range(n_classes):
+            pair = system.blocks[halves * c : halves * (c + 1)]
+            assert len({b.degrees for b in pair}) == 1
+            if family == M_NONMINIMAL and m > 2:
+                assert len({d % (m - 1) for d in pair[0].degrees}) == 1
+            unknowns = np.concatenate([b.unknowns for b in pair])
+            assert sorted(unknowns) == sorted({2 * (u // 2) + e for u in unknowns for e in (0, 1)})
+    else:
+        # Each class splits into one block per |f| of its columns, in
+        # increasing |f|; an f >= 1 block into its sigma halves.
+        system = assemble(model, N=5)
+        assert system.graded
+        classes = by_class(system)
+        assert len(classes) == n_classes
+        for degrees, cols, blocks in classes:
+            want = sorted({frequency(system.columns[i]) for i in cols})
+            assert [b.frequency for b in blocks] == [
+                f for f in want for _ in range(1 if f == 0 else halves)]
+            for b in blocks:
+                assert {frequency(system.columns[u // 2]) for u in b.unknowns} == {b.frequency}
+                assert set(b.degrees) <= set(degrees)
+                if family == M_NONMINIMAL and m > 2:
+                    assert len({d % (m - 1) for d in b.degrees}) == 1
+            unknowns = np.concatenate([b.unknowns for b in blocks])
+            assert sorted(unknowns) == [2 * i + e for i in sorted(cols) for e in (0, 1)]
     # Each row is normalised over the unknowns in play at its degree, which
     # hold all of its non-zero entries.
     row_max = np.max(np.abs(system.matrix), axis=1)
@@ -139,20 +185,38 @@ def test_blocks_join_pairs_as_the_per_column_rule_joins_columns(family, m):
             assert _weight_blocks(polys, columns) == per_column_blocks(polys, columns)
 
 
-@pytest.mark.parametrize("family, m, span", [
+SPANS = [
     # m = 2: z1 = t + i t^2 P, g1 = 1/(2i) - t P and g2 = -t^2 dP/dz.
     (M_NONMINIMAL, 2, lambda comp, j: (j, 2 * j + 1) if comp == 1 else (j + 2, 2 * j + 2)),
     # rigid: z1 = -P + i t, g1 = 1/2 and g2 = dP/dz.
     (RIGID, 1, lambda comp, j: (0, j)),
+]
+
+
+@pytest.mark.parametrize("family, m, span, graded", [
+    *(pytest.param(*case, False, id=f"{case[0]}-{case[1]}-<lambda>") for case in SPANS),
+    *(pytest.param(*case, True, id=f"graded-{case[0]}-{case[1]}") for case in SPANS),
 ])
-def test_block_unknowns_follow_their_t_degree_staircase(family, m, span):
+def test_block_unknowns_follow_their_t_degree_staircase(family, m, span, graded):
     # One class, split into its sigma halves: each holds one entry of every
-    # column, in the same order, with the column's span.
-    system = assemble(ModelSpec(family, get_germ("p1"), m=m), N=6)
-    even, odd = system.blocks
-    assert np.array_equal(even.unknowns // 2, odd.unknowns // 2)
-    assert np.array_equal(even.unknowns + odd.unknowns, 4 * (even.unknowns // 2) + 1)
-    for b in (even, odd):
+    # column, in the same order, with the column's span.  Graded (p1 at the
+    # default points): the class's frequency-0 block holds both entries of
+    # its columns, and each f >= 1 block is such a pair of halves.
+    model = ModelSpec(family, get_germ("p1"), m=m)
+    system = assemble(model, N=6) if graded else assemble(model, N=6, points=solver_points(6))
+    assert system.graded == graded
+    if graded:
+        zero, *halves = system.blocks
+        assert zero.frequency == 0 and np.array_equal(zero.unknowns[1::2], zero.unknowns[::2] + 1)
+        pairs = list(zip(halves[::2], halves[1::2]))
+        # |f| = 1 ... N = 6.
+        assert [b.frequency for pair in pairs for b in pair] == [f for f in range(1, 7) for _ in "ab"]
+    else:
+        pairs = [system.blocks]
+    for even, odd in pairs:
+        assert np.array_equal(even.unknowns // 2, odd.unknowns // 2)
+        assert np.array_equal(even.unknowns + odd.unknowns, 4 * (even.unknowns // 2) + 1)
+    for b in system.blocks:
         columns = [system.columns[u // 2] for u in b.unknowns]
         got = [(b.degrees[f], b.degrees[l]) for f, l in zip(b.first, b.last)]
         assert got == [span(comp, j) for comp, j, _ in columns]
@@ -207,28 +271,88 @@ def test_rows_at_conjugate_points_follow_the_sigma_signs(family, m, germ):
             assert np.array_equal(A[:, :, 1], sign * A[:, :, 0])
 
 
-@pytest.mark.parametrize("family, m, germ", SIGMA_MODELS)
-@pytest.mark.parametrize("N", [5, 8, 12])
-def test_sigma_halves_keep_the_null_space(family, m, germ, N):
+GRADED_MODELS = [
+    (RIGID, 1, "p1", False), (M_NONMINIMAL, 2, "p1", False), (M_NONMINIMAL, 3, "p1", False),
+    (M_NONMINIMAL, 4, "p1", False), (RIGID, 1, "control", True), (RIGID, 1, "control", False),
+]
+
+
+@pytest.mark.parametrize("N, family, m, germ, vanish, graded", [
+    *(pytest.param(N, *case.values, False, False, id=f"{N}-{case.id}")
+      for N in (5, 8, 12) for case in SIGMA_MODELS),
+    # The graded systems of the radial germs at the default points.
+    *(pytest.param(N, family, m, germ, vanish, True,
+                   id=f"graded-{N}-{family}-{m}-{germ}-{'aut0' if vanish else 'aut'}")
+      for N in (5, 8, 12, 16) for family, m, germ, vanish in GRADED_MODELS),
+])
+def test_sigma_halves_keep_the_null_space(N, family, m, germ, vanish, graded):
     # The halves, with rows at one point of each conjugate pair, against the
     # unsplit system at both points: the same null space.  The full algebra,
-    # so that rigid models keep i dz1 and p3 keeps i dz2.
+    # so that rigid models keep i dz1 and p3 keeps i dz2.  The solver's
+    # points passed explicitly keep p1 and control on the sigma path.
     model = ModelSpec(family, get_germ(germ), m=m)
-    split = assemble(model, N, vanish_at_origin=False)
-    unsplit = assemble(model, N, points=mirrored(N), vanish_at_origin=False)
-    assert len(split.blocks) == 2 * len(unsplit.blocks)
-    assert set(split.points) == set(unsplit.points) and split.n_samples == unsplit.n_samples
-    # Each class's sigma-even half, then its odd half: the parities of
-    # test_rows_at_conjugate_points_follow_the_sigma_signs.
-    w = 0 if family == RIGID else 1
-    for i, b in enumerate(split.blocks):
-        comp, j = np.array([split.columns[u // 2][:2] for u in b.unknowns]).T
-        assert np.all((b.unknowns + w * (comp + j)) % 2 == i % 2)
+    unsplit = assemble(model, N, points=mirrored(N), vanish_at_origin=vanish)
+    if graded:
+        split = assemble(model, N, vanish_at_origin=vanish)
+        assert split.graded and set(split.points) == set(unsplit.points)
+    else:
+        split = assemble(model, N, points=solver_points(N), vanish_at_origin=vanish)
+        assert len(split.blocks) == 2 * len(unsplit.blocks)
+        assert set(split.points) == set(unsplit.points) and split.n_samples == unsplit.n_samples
+        # Each class's sigma-even half, then its odd half: the parities of
+        # test_rows_at_conjugate_points_follow_the_sigma_signs.
+        w = 0 if family == RIGID else 1
+        for i, b in enumerate(split.blocks):
+            comp, j = np.array([split.columns[u // 2][:2] for u in b.unknowns]).T
+            assert np.all((b.unknowns + w * (comp + j)) % 2 == i % 2)
     a, b = nullspace(split), nullspace(unsplit)
     assert a.dimension == b.dimension
     Qa, Qb = (np.linalg.qr((x.coefficients.view(float) / split.scale).T)[0] for x in (a, b))
     # The sine of the largest principal angle.
     assert np.linalg.norm(Qb - Qa @ (Qa.T @ Qb), 2) <= 1e-8
+
+
+@pytest.mark.parametrize("vanish", [True, False])
+@pytest.mark.parametrize("N", [5, 8, 12])
+@pytest.mark.parametrize("family, m", [(RIGID, 1), (M_NONMINIMAL, 2)])
+def test_a_germ_wrongly_declared_radial_is_never_confident(family, m, N, vanish):
+    # p2's functions under p1's id: the catalog declares it radial, so its
+    # system is graded, with rows from the real axis alone, where p2 looks
+    # radial.  Validation runs at the unsplit validation points and rejects
+    # the rotation i z2 dz2 that the grading leaves in the null space.
+    fake = replace(get_germ("p2"), id="p1")
+    assert fake.radial and not get_germ("p2").radial
+    model = ModelSpec(family, fake, m=m)
+    assert assemble(model, N, vanish_at_origin=vanish).graded
+    basis, _ = solve_model(model, N=N, vanish_at_origin=vanish)
+    assert not basis.confident
+
+
+@pytest.mark.parametrize("family, m, germ, vanish, frequencies", [
+    (M_NONMINIMAL, 2, "p1", True, [0]),
+    (RIGID, 1, "p1", False, [0, 0]),
+    # su(2,1) graded by rotation: i dz1, i z2 dz2, z1 dz1 + z2 dz2 / 2 and
+    # i z1^2 dz1 + i z1 z2 dz2 at f = 0; the two z2-translations and the
+    # two fields like 2 z1 z2 dz1 + z1 dz2 + 2 z2^2 dz2 at |f| = 1.  aut_0
+    # drops i dz1 and the translations.
+    (RIGID, 1, "control", False, [0, 0, 0, 0, 1, 1, 1, 1]),
+    (RIGID, 1, "control", True, [0, 0, 0, 1, 1]),
+    (ONE_NONMINIMAL, 1, "p1", True, None),
+    (RIGID, 1, "p2", False, None),
+])
+def test_report_gives_each_basis_row_its_frequency(family, m, germ, vanish, frequencies):
+    model = ModelSpec(family, get_germ(germ), m=m)
+    for N in (5, 12):
+        basis, report = solve_model(model, N=N, vanish_at_origin=vanish)
+        assert basis.confident
+        assert report["frequencies"] == basis.frequencies
+        if frequencies is None:
+            assert basis.frequencies is None
+        else:
+            assert sorted(basis.frequencies) == frequencies
+            # Each row lives on the columns of its frequency.
+            for row, f in zip(basis.coefficients, basis.frequencies):
+                assert {frequency(basis.columns[i]) for i in np.flatnonzero(row)} == {f}
 
 
 @pytest.mark.parametrize("family, m, germ", [
@@ -239,9 +363,10 @@ def test_sigma_halves_keep_the_null_space(family, m, germ, N):
 def test_nothing_splits_without_sigma(family, m, germ):
     # The counterexample germ is not conjugation-even; odd m and
     # one-nonminimal models have no sigma.
+    # p1 and control are graded at the default points: pass them explicitly.
     model = ModelSpec(family, get_germ(germ), m=m)
     for N in (2, 5, 12):
-        system = assemble(model, N)
+        system = assemble(model, N, points=solver_points(N))
         columns = [(c, j, k) for c in (1, 2) for j, k in _monomials(N, False)]
         polys = _column_polys(model, np.empty(0, complex), {c[:2] for c in columns})
         assert len(system.blocks) == len(_weight_blocks(polys, columns))
@@ -256,21 +381,36 @@ def test_assemble_requires_oversampling():
         assemble(model, N=5, points=(0.3, 0.4))
 
 
-@pytest.mark.parametrize("family, m, N, message", [
-    # 51 t-degrees x 280 points against a half's 648 unknowns.
-    (M_NONMINIMAL, 2, 24, "14280 x 648 system, above 8388608 entries"),
+def size_case(family, m, N, message, germ="p1"):
+    return pytest.param(family, m, N, message, germ, id=f"{family}-{m}-{N}-{message}")
+
+
+@pytest.mark.parametrize("family, m, N, message, germ", [
+    # 51 t-degrees x 280 points against a half's 648 unknowns (p2 is not
+    # radial: the sigma halves of every conjugation-even germ).
+    size_case(M_NONMINIMAL, 2, 24, "14280 x 648 system, above 8388608 entries", "p2"),
     # 30 t-degrees x 330 points against a half's 928 unknowns.
-    (RIGID, 1, 29, "9900 x 928 system, above 8388608 entries"),
+    size_case(RIGID, 1, 29, "9900 x 928 system, above 8388608 entries", "p2"),
+    # The graded radial systems: 5 rows per shell for each t-degree and
+    # angle of each frequency block, against the frequency-0 block's 4N
+    # unknowns.
+    size_case(M_NONMINIMAL, 2, 59, "36025 x 236 system, above 8388608 entries"),
+    size_case(RIGID, 1, 75, "28890 x 300 system, above 8388608 entries"),
     # Refused from the unknowns and points alone, before any N^2 work:
-    # points x unknowns, halved where sigma can split the blocks.
-    (M_NONMINIMAL, 2, 10**12, "at least 10000000000070000000000120000000000000 entries"),
-    (RIGID, 1, 10**12, "at least 10000000000070000000000120000000000000 entries"),
-    (M_NONMINIMAL, 3, 10**12, "at least 20000000000140000000000240000000000000 entries"),
-    (ONE_NONMINIMAL, 1, 80, "at least 11155200 entries"),
+    # points x unknowns, halved where sigma can split the blocks; a graded
+    # system has at least a row per shell for each unknown.
+    size_case(M_NONMINIMAL, 2, 10**12, "at least 10000000000070000000000120000000000000 entries",
+              "p2"),
+    size_case(RIGID, 1, 10**12, "at least 10000000000070000000000120000000000000 entries", "p2"),
+    size_case(M_NONMINIMAL, 3, 10**12, "at least 20000000000140000000000240000000000000 entries",
+              "p2"),
+    size_case(ONE_NONMINIMAL, 1, 80, "at least 11155200 entries"),
+    size_case(M_NONMINIMAL, 2, 10**12, "at least 10000000000030000000000000 entries"),
+    size_case(RIGID, 1, 10**12, "at least 10000000000030000000000000 entries"),
 ])
-def test_assemble_refuses_a_system_beyond_its_size_limit(family, m, N, message):
+def test_assemble_refuses_a_system_beyond_its_size_limit(family, m, N, message, germ):
     with pytest.raises(ConfigurationError, match=message):
-        assemble(ModelSpec(family, get_germ("p1"), m=m), N=N)
+        assemble(ModelSpec(family, get_germ(germ), m=m), N=N)
 
 
 @pytest.mark.parametrize("germ, a", [("zero", 1.0), ("p1", 20.0)])
@@ -428,20 +568,22 @@ def test_nullspace_matches_direct_thin_svd(germ, family, N):
 @pytest.mark.parametrize("N", range(2, 17))
 def test_staircase_r_matches_each_block_thin_svd(family, m, N):
     # The staircase stacks R on each degree's rows and sets aside the rows
-    # of the unknowns that appear no more: R^T R is still A^T A.
-    germ = "control" if family == RIGID else "p1"
-    system = assemble(ModelSpec(family, get_germ(germ), m=m), N=N)
-    floor = max(system.n_samples, system.n_unknowns) * EPS
-    for b in system.blocks:
-        A = system.matrix[b.rows, : len(b.unknowns)]
-        R = _r_factor(A, b)
-        assert np.array_equal(R, np.triu(R))
-        _, s, vt = np.linalg.svd(R, full_matrices=False)
-        _, s_dense, vt_dense = np.linalg.svd(A, full_matrices=False)
-        assert np.all(np.abs(s - s_dense) <= floor * s_dense[0])
-        null, null_dense = vt[s <= 1e-8 * s[0]], vt_dense[s_dense <= 1e-8 * s_dense[0]]
-        assert len(null) == len(null_dense)
-        assert np.max(np.abs(null_dense - null_dense @ null.T @ null), initial=0.0) <= 1e-10
+    # of the unknowns that appear no more: R^T R is still A^T A.  The blocks
+    # of the sigma layout (the solver's points passed explicitly) and of the
+    # graded one (rigid and m-nonminimal at the default points).
+    model = ModelSpec(family, get_germ("control" if family == RIGID else "p1"), m=m)
+    for system in (assemble(model, N=N, points=solver_points(N)), assemble(model, N=N)):
+        floor = max(system.n_samples, system.n_unknowns) * EPS
+        for b in system.blocks:
+            A = system.matrix[b.rows, : len(b.unknowns)]
+            R = _r_factor(A, b)
+            assert np.array_equal(R, np.triu(R))
+            _, s, vt = np.linalg.svd(R, full_matrices=False)
+            _, s_dense, vt_dense = np.linalg.svd(A, full_matrices=False)
+            assert np.all(np.abs(s - s_dense) <= floor * s_dense[0])
+            null, null_dense = vt[s <= 1e-8 * s[0]], vt_dense[s_dense <= 1e-8 * s_dense[0]]
+            assert len(null) == len(null_dense)
+            assert np.max(np.abs(null_dense - null_dense @ null.T @ null), initial=0.0) <= 1e-10
 
 
 def chunked_r(A):

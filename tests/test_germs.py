@@ -23,6 +23,21 @@ def test_catalog_values_match_closed_forms():
     assert get_germ("zero")(z) == 0.0
 
 
+@pytest.mark.parametrize("gid", CATALOG_IDS)
+def test_catalog_declares_the_rotation_invariant_germs_radial(gid):
+    # P(e^{i theta} z) = P(z) for p1 and control, whose dP/dz turns with
+    # e^{-i theta}; the other germs are declared not radial.
+    g = get_germ(gid)
+    assert g.radial == (gid in ("p1", "control"))
+    z = np.array([0.31 + 0.12j, -0.2 + 0.35j, 0.05 - 0.44j])
+    turn = np.exp(0.7j)
+    if g.radial:
+        assert np.allclose(g(z * turn), g(z), rtol=1e-13, atol=0)
+        assert np.allclose(g.wirt(z * turn), g.wirt(z) / turn, rtol=1e-13, atol=0)
+    elif gid in ("p2", "p3"):
+        assert not np.allclose(g(z * turn), g(z), rtol=1e-3, atol=0)
+
+
 def test_flat_germs_exactly_zero_at_origin():
     for gid in ("p1", "p2", "p3", "zero"):
         g = get_germ(gid)
