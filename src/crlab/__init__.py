@@ -34,14 +34,11 @@ from .fields import (
 )
 from .autsolve import (
     AutBasis,
-    SampleGrid,
     TangencySystem,
     assemble,
     canonicalize,
-    default_grid,
     nullspace,
     solve_model,
-    validation_grid,
     validation_residual,
 )
 from .flow import (
@@ -64,6 +61,7 @@ from .mapverify import (
     TranslateIm,
     check_modulus_derivative,
     check_reparam,
+    default_grid,
     invariance_residual,
 )
 from .counterexample import (

@@ -15,8 +15,10 @@ systems U(1)-equivariant: a monomial column carries one angular frequency
 f, columns of frequency +-f meet only the residual's frequency-f Fourier
 rows, and each block is graded into one small block per |f|, whose rows
 come from the real point of each shell.  Every reported basis vector is
-re-validated, exactly in t, at independent z2 points, so a germ wrongly
-declared radial fails certification.
+re-validated, exactly in t, at independent z2 points (``VALIDATION_POINTS``,
+on other shells), so a germ wrongly declared radial fails certification.
+Neither step samples t: the solver's one sampling setting is its z2 point
+set, ``solver_points(N)`` by default.
 """
 
 from __future__ import annotations
@@ -40,33 +42,6 @@ SPAN_TOL = 1e-8
 MAX_ENTRIES = 1 << 23
 
 
-@dataclass(frozen=True)
-class SampleGrid:
-    """Cartesian product of real t values and complex z2 values."""
-
-    t_values: tuple
-    z2_values: tuple
-
-    def __post_init__(self):
-        # Tuples keep the frozen grid immutable and hashable.
-        object.__setattr__(self, "t_values", tuple(self.t_values))
-        object.__setattr__(self, "z2_values", tuple(self.z2_values))
-        if not (np.all(np.isfinite(self.t_values)) and np.all(np.isfinite(self.z2_values))):
-            raise ParameterError("grid values must be finite")
-        if any(abs(z) == 0 for z in self.z2_values):
-            raise ParameterError("z2 grid must avoid the origin exactly")
-
-    @property
-    def n(self) -> int:
-        return len(self.t_values) * len(self.z2_values)
-
-    def samples(self):
-        t = np.asarray(self.t_values, dtype=float)
-        z = np.asarray(self.z2_values, dtype=complex)
-        T, Z = np.meshgrid(t, z, indexing="ij")
-        return T.ravel(), Z.ravel()
-
-
 def shell_points(radii, n_angles, phase=0.0):
     pts = []
     for r in radii:
@@ -75,22 +50,9 @@ def shell_points(radii, n_angles, phase=0.0):
     return tuple(pts)
 
 
-def default_grid() -> SampleGrid:
-    t = (0.0,) + tuple(s * v for v in (0.05, 0.1, 0.15, 0.2, 0.25, 0.3) for s in (1, -1))
-    z2 = shell_points((0.15, 0.25, 0.35, 0.45, 0.55), 24)
-    return SampleGrid(t_values=t, z2_values=z2)
-
-
-def validation_grid() -> SampleGrid:
-    # Deliberately disjoint from default_grid: different t values, shell
-    # radii and angular phase.  The solver validates at its z2 values.
-    t = tuple(s * v for v in (0.04, 0.11, 0.19, 0.28) for s in (1, -1))
-    z2 = shell_points((0.2, 0.3, 0.4, 0.5), 17, phase=0.11)
-    return SampleGrid(t_values=t, z2_values=z2)
-
-
-# The z2 points every basis field is validated at.
-VALIDATION_POINTS = np.asarray(validation_grid().z2_values)
+# The z2 points every basis field is validated at, on shells apart from the
+# solver's (``SOLVER_SHELLS``).
+VALIDATION_POINTS = np.asarray(shell_points((0.2, 0.3, 0.4, 0.5), 17, phase=0.11))
 VALIDATION_POINTS.flags.writeable = False
 
 SOLVER_SHELLS = (0.15, 0.25, 0.35, 0.45, 0.55)

@@ -15,12 +15,12 @@ from pathlib import Path
 import numpy as np
 
 from . import counterexample as cx
-from .autsolve import default_grid, shell_points, solve_model
+from .autsolve import shell_points, solve_model
 from .errors import CrlabError
 from .fields import linear_diag_field
 from .flow import integrate_field
 from .germs import CATALOG_IDS, get_germ
-from .mapverify import Negate, Rotate, Scale, TranslateIm, verdict_report
+from .mapverify import Negate, Rotate, Scale, TranslateIm, default_grid, verdict_report
 from .models import FAMILIES, M_NONMINIMAL, ModelSpec, ONE_NONMINIMAL, surface_point
 from .vtype import write_scan_csv
 

@@ -26,10 +26,11 @@ class CounterexampleParams:
             raise ParameterError("z20, C, t0 and r must be finite")
         if self.z20 == 0:
             raise ParameterError("z20 must be nonzero")
-        # The certificate's bounds scale with |z20|; past 1e8 they would no
-        # longer sit far below the increments it samples (|t| >= 1e-3).
-        if abs(self.z20) > 1e8:
-            raise ParameterError("|z20| must be at most 1e8")
+        # The certificate's bounds grow with |z20| and |C| (``certificate``),
+        # and the increments it samples (|t| >= 1e-3) shrink as 1 / |t0|:
+        # past 1e8 the bounds would no longer sit far below them.
+        if max(1.0, abs(self.z20), abs(self.C)) * max(1.0, abs(self.t0)) > 1e8:
+            raise ParameterError("max(1, |z20|, |C|) max(1, |t0|) must be at most 1e8")
         if self.t0 == 0:
             raise ParameterError("t0 must be nonzero real")
         if not (0 < self.r < abs(self.z20) / 4):
@@ -133,11 +134,13 @@ def certificate(params: CounterexampleParams) -> dict:
         germ, params.z20,
         radii=np.logspace(-3, np.log10(params.r / 2), 10),
     )
-    # The roundoff in both checks grows with the base point's size.
-    size = max(1.0, abs(params.z20))
+    # The roundoff in both checks grows with |z20| and P(z20) = C, and in
+    # the discs also with their z1 = i t0 - t0 C + z1(t).
+    inc_size = max(1.0, abs(params.z20), abs(params.C))
+    disc_size = max(inc_size, abs(params.t0) * max(1.0, abs(params.C)))
     ok = (
-        inc_dev <= 1e-14 * size
-        and all(v <= 1e-13 * size for v in disc.values())
+        inc_dev <= 1e-14 * inc_size
+        and all(v <= 1e-13 * disc_size for v in disc.values())
         and est.finite
     )
     return {
@@ -150,6 +153,6 @@ def certificate(params: CounterexampleParams) -> dict:
         "increment_max_dev": inc_dev,
         "disc_residuals": disc,
         "order_at_z20": est.order,
-        "order_slope": est.slope,
+        "order_slope": est.slope if np.isfinite(est.slope) else None,
         "verdict": "pass" if ok else "fail",
     }

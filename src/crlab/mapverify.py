@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .autsolve import shell_points
 from .errors import DegenerateMapError, InsufficientDataError, ParameterError
 from .germs import SmoothGerm
 from .models import ModelSpec, rho, surface_point
@@ -77,10 +78,19 @@ def eval_poly(coeffs, z):
     return total
 
 
+def default_grid():
+    """The samples a map is verified at: 13 t values times 120 z2 points on
+    five shells, as the flat arrays (T, Z2) of their product."""
+    t = (0.0,) + tuple(s * v for v in (0.05, 0.1, 0.15, 0.2, 0.25, 0.3) for s in (1, -1))
+    z2 = shell_points((0.15, 0.25, 0.35, 0.45, 0.55), 24)
+    T, Z2 = np.meshgrid(np.array(t), np.array(z2), indexing="ij")
+    return T.ravel(), Z2.ravel()
+
+
 def invariance_residual(model: ModelSpec, mp, grid) -> tuple[float, float]:
-    """max |rho(f(p))| over the on-surface samples of the grid, and max |w1|
-    over their images (w1, w2) = f(p)."""
-    T, Z2 = grid.samples()
+    """max |rho(f(p))| over the on-surface points p of the samples
+    grid = (T, Z2), and max |w1| over their images (w1, w2) = f(p)."""
+    T, Z2 = grid
     w1, w2 = mp.apply(*surface_point(model, T, Z2))
     return float(np.max(np.abs(rho(model, w1, w2)))), float(np.max(np.abs(w1)))
 

@@ -16,7 +16,6 @@ from crlab import (
     ModelSpec,
     ONE_NONMINIMAL,
     Rotate,
-    SampleGrid,
     TranslateIm,
     blowup_time_estimate,
     characteristic_flow,
@@ -35,7 +34,7 @@ from crlab import (
     validation_residual,
     vanishing_order,
 )
-from crlab.autsolve import CERT_TOL, shell_points, validation_grid
+from crlab.autsolve import CERT_TOL, VALIDATION_POINTS, shell_points
 from crlab.germs import SmoothGerm
 
 
@@ -102,7 +101,7 @@ def test_criterion_04_higher_order_family_collapses():
     # nonzero real coefficients are -P/2 (at t^2) and P^3 (at t^5), so the
     # validation residuals, exact in t, are max |P| / 2 and max |P|^3 over
     # the validation z2 points.
-    p = np.asarray(model.germ(np.asarray(validation_grid().z2_values)), dtype=float)
+    p = np.asarray(model.germ(VALIDATION_POINTS), dtype=float)
 
     f1 = monomial_field(1, 1, 0, 1.0)
     r1 = validation_residual(model, f1)
@@ -126,9 +125,8 @@ def test_criterion_04_higher_order_family_collapses():
 def test_criterion_05_exact_tangency_on_dense_grid():
     t = np.linspace(-0.3, 0.3, 50)
     z2 = shell_points((0.15, 0.25, 0.35, 0.45, 0.55), 10)
-    grid = SampleGrid(t_values=tuple(t), z2_values=z2)
-    T, Z = grid.samples()
-    assert grid.n == 2500
+    T, Z = (a.ravel() for a in np.meshgrid(t, np.array(z2), indexing="ij"))
+    assert len(T) == len(Z) == 2500
     worst = 0.0
     for gid in ("p1", "p2", "p3", "zero", "control", "counterexample"):
         model = ModelSpec(ONE_NONMINIMAL, get_germ(gid))

@@ -11,24 +11,23 @@ from crlab import (
     ONE_NONMINIMAL,
     ParameterError,
     RIGID,
-    SampleGrid,
     VectorFieldPoly,
     assemble,
     canonicalize,
-    default_grid,
     get_germ,
     monomial_field,
     nullspace,
     solve_model,
     tangency_residual,
-    validation_grid,
     validation_residual,
 )
 from crlab.autsolve import (
     CERT_TOL,
     DICTIONARY,
     LABEL_TOL,
+    SOLVER_SHELLS,
     SPAN_TOL,
+    VALIDATION_POINTS,
     _column_polys,
     _monomials,
     _r_factor,
@@ -45,14 +44,19 @@ EPS = np.finfo(float).eps
 
 def test_grid_rejects_origin_in_z2():
     with pytest.raises(ParameterError):
-        SampleGrid(t_values=(0.0, 0.1), z2_values=(0.0j, 0.3))
+        assemble(ModelSpec(ONE_NONMINIMAL, get_germ("p1")), 5, points=(0j, 0.3))
 
 
-def test_default_and_validation_grids_are_disjoint():
-    g, v = default_grid(), validation_grid()
-    assert set(g.t_values).isdisjoint(set(v.t_values))
-    assert set(g.z2_values).isdisjoint(set(v.z2_values))
-    assert g.n >= 1500
+def test_validation_points_are_independent_of_the_solver_points():
+    # Validation must not reread the rows the solver fitted: its shells are
+    # not the solver's, so no point comes within 0.05 of one at any N, nor
+    # of the real shell points the graded rows come from.
+    v = VALIDATION_POINTS
+    assert len(v) == 68
+    assert np.min(np.abs(np.abs(v)[:, None] - np.array(SOLVER_SHELLS))) >= 0.05 - 1e-12
+    graded = np.array(SOLVER_SHELLS, complex)
+    for points in [graded, *(np.array(solver_points(N)) for N in range(1, 17))]:
+        assert np.min(np.abs(v[:, None] - points)) >= 0.05 - 1e-12
 
 
 def test_assemble_shapes_and_normalization():
@@ -630,7 +634,7 @@ def per_vector_report(model, N):
     tiny = np.finfo(float).tiny
     finite = 0 < null.sum() < len(s) and s[null].max() > 0
     gap = float(s[~null].min() / max(s[null].max(), tiny)) if finite else None
-    p_max = min(1.0, float(np.max(model.germ(np.asarray(validation_grid().z2_values)))))
+    p_max = min(1.0, float(np.max(model.germ(VALIDATION_POINTS))))
     certified = all(
         r <= CERT_TOL * p_max * max(f.max_coefficient(), tiny) for r, f in zip(resids, basis)
     )
@@ -719,15 +723,15 @@ def test_validation_residual_equals_tangency_residual(name, N):
     model = ORACLE_MODELS[name]
     basis = nullspace(assemble(model, N=N))
     assert basis.dimension > 0
-    vg = validation_grid()
-    z = np.asarray(vg.z2_values)
-    T, Z = vg.samples()
+    z = VALIDATION_POINTS
+    t = (0.04, -0.04, 0.11, -0.11, 0.19, -0.19, 0.28, -0.28)
+    T, Z = (a.ravel() for a in np.meshgrid(t, z, indexing="ij"))
     for f, r in zip(basis.basis, basis.validation_residuals):
         assert validation_residual(model, f) == r
         coeffs = residual_coefficients(model, f, z)
         size = sum(map(abs, [*f.coeffs1.values(), *f.coeffs2.values()]))
         assert abs(r - max(np.max(np.abs(c)) for c in coeffs.values())) <= 1e-14 * size
-        sampled = sum(T**d * np.tile(c, len(vg.t_values)) for d, c in coeffs.items())
+        sampled = sum(T**d * np.tile(c, len(t)) for d, c in coeffs.items())
         assert np.max(np.abs(sampled - tangency_residual(model, f, T, Z))) <= 1e-14 * size
     _, report = solve_model(model, N=N)
     reference = per_vector_report(model, N)
@@ -742,7 +746,7 @@ def test_validation_residual_is_per_model_and_grid():
     g = get_germ("p1")
     a = ModelSpec(ONE_NONMINIMAL, g)
     b = ModelSpec(M_NONMINIMAL, g, m=2)
-    p_max = float(np.max(g(np.asarray(validation_grid().z2_values))))
+    p_max = float(np.max(g(VALIDATION_POINTS)))
     closed = {a: (1 + p_max**2) / 2, b: max(0.5, p_max**2)}
 
     calls = [a, b, a, b, a]

@@ -89,20 +89,26 @@ def test_counterexample_certificate(tmp_path):
 
 
 @pytest.mark.parametrize("flag, value", [("--z20-re", "1e3"), ("--z20-re", "1e5"),
-                                         ("--z20-im", "1e3"), ("--z20-re", "1e8")])
+                                         ("--z20-im", "1e3"), ("--z20-re", "1e8"),
+                                         ("--C", "300"), ("--C", "1e3"), ("--C", "-1e8"),
+                                         ("--t0", "3e3"), ("--t0", "-1e4"), ("--t0", "1e8")])
 def test_counterexample_far_base_point_passes(tmp_path, flag, value):
-    # The construction holds for every z20 != 0; its roundoff grows with |z20|.
-    assert run(["counterexample", flag, value], tmp_path) == 0
+    # The construction holds for every z20 != 0, C and t0 != 0; its roundoff
+    # grows with |z20|, |C| and |t0 C|.
+    assert run(["counterexample", f"{flag}={value}"], tmp_path) == 0
     cert = json.loads((tmp_path / "counterexample_certificate.json").read_text())
     assert cert["verdict"] == "pass"
     assert cert["order_at_z20"] == 1
 
 
 @pytest.mark.parametrize("flag, value", [("--z20-re", "1e16"), ("--z20-re", "1e308"),
-                                         ("--z20-im", "1e9")])
+                                         ("--z20-im", "1e9"), ("--t0", "1e16"),
+                                         ("--C", "1e20")])
 def test_counterexample_base_point_beyond_1e8_is_rejected(tmp_path, flag, value):
-    # Past |z20| = 1e8 the roundoff-scaled bounds stop resolving the
-    # increments, so no certificate is written, let alone a passing one.
+    # Past |z20| = 1e8, |C| = 1e8 or |t0| = 1e8 the roundoff-scaled bounds
+    # stop resolving the increments, so no certificate is written, let alone
+    # a passing one.  At t0 = 1e16 the order's slope was inf, and the report
+    # failed to serialise.
     assert run(["counterexample", flag, value], tmp_path) == 2
     assert not (tmp_path / "counterexample_certificate.json").exists()
 

@@ -3,11 +3,14 @@ import json
 import numpy as np
 import pytest
 
+import crlab.counterexample as cx
+
 from crlab import (
     CounterexampleParams,
     ModelSpec,
     ONE_NONMINIMAL,
     ParameterError,
+    VanishingOrderEstimate,
     build_counterexample,
     counterexample_certificate,
     vanishing_order,
@@ -29,8 +32,9 @@ def test_parameter_validation():
         CounterexampleParams(r=0.2)  # violates r < |z20|/4
     with pytest.raises(ParameterError):
         CounterexampleParams(z20=2.0, r=0.4, t0=0.5)  # violates 2r < |t0|
-    with pytest.raises(ParameterError, match="1e8"):
-        CounterexampleParams(z20=1e8 * (1 + 1j))
+    for big in ({"z20": 1e8 * (1 + 1j)}, {"C": 1e20}, {"t0": 1e16}, {"z20": 1e8, "t0": 1e8}):
+        with pytest.raises(ParameterError, match="1e8"):
+            CounterexampleParams(**big)
     for bad in ({"C": float("nan")}, {"t0": float("inf")}, {"z20": complex(0.5, float("nan"))}):
         with pytest.raises(ParameterError, match="finite"):
             CounterexampleParams(**bad)
@@ -99,3 +103,12 @@ def test_certificate_with_shifted_parameters():
     params = CounterexampleParams(z20=0.45 + 0.1j, C=-0.2, t0=-0.4, r=0.08)
     cert = counterexample_certificate(params)
     assert cert["verdict"] == "pass"
+
+
+def test_infinite_order_slope_is_written_as_null(monkeypatch):
+    flat = VanishingOrderEstimate(point=PARAMS.z20, order=None, infinite=True,
+                                  slope=float("inf"), r2=float("nan"))
+    monkeypatch.setattr(cx, "vanishing_order", lambda *args, **kwargs: flat)
+    cert = counterexample_certificate(PARAMS)
+    assert cert["order_slope"] is None and cert["verdict"] == "fail"
+    json.dumps(cert, allow_nan=False)

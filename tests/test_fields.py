@@ -16,8 +16,8 @@ from crlab import (
     monomial_field,
     surface_point,
     tangency_residual,
-    validation_grid,
 )
+from crlab.autsolve import VALIDATION_POINTS
 
 T_GRID = np.linspace(-0.3, 0.3, 9)
 Z2_GRID = np.array([0.2, 0.35 * np.exp(0.7j), 0.5 * np.exp(2.1j), 0.55 * np.exp(-1.3j)])
@@ -160,7 +160,9 @@ def test_eval_matches_naive_formula_bit_for_bit():
 
     f = VectorFieldPoly(dense(), dense())
     model = ModelSpec(ONE_NONMINIMAL, get_germ("p1"))
-    z1, z2 = surface_point(model, *validation_grid().samples())
+    T, Z = np.meshgrid((0.04, -0.04, 0.11, -0.11, 0.19, -0.19, 0.28, -0.28), VALIDATION_POINTS,
+                       indexing="ij")
+    z1, z2 = surface_point(model, T.ravel(), Z.ravel())
     h1, h2 = f.eval(z1, z2)
     assert np.array_equal(h1, _naive_eval(f.coeffs1, z1, z2))
     assert np.array_equal(h2, _naive_eval(f.coeffs2, z1, z2))

@@ -24,6 +24,14 @@ P2 = ModelSpec(ONE_NONMINIMAL, get_germ("p2"))
 P3 = ModelSpec(ONE_NONMINIMAL, get_germ("p3"))
 
 
+def test_default_grid_is_the_flat_product_of_13_t_values_and_120_points():
+    T, Z = default_grid()
+    assert T.shape == Z.shape == (1560,)
+    assert len(set(T.tolist())) == 13 and len(set(Z.tolist())) == 120
+    assert np.array_equal(T.reshape(13, 120), np.repeat(T[::120, None], 120, axis=1))
+    assert np.all(Z != 0)
+
+
 def test_rotation_preserves_rotational_model():
     assert invariance_residual(P1, Rotate(0.7), default_grid())[0] < 1e-14
 

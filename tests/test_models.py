@@ -8,8 +8,9 @@ from crlab import (
     ONE_NONMINIMAL,
     ParameterError,
     RIGID,
-    SampleGrid,
+    Rotate,
     get_germ,
+    invariance_residual,
     rho,
     rho_gradient,
     surface_point,
@@ -115,7 +116,10 @@ def test_describe_round_trips_family_and_germ():
 def test_non_finite_t_bound_and_grid_values_rejected(bad):
     with pytest.raises(ParameterError):
         ModelSpec(ONE_NONMINIMAL, get_germ("p1"), t_bound=bad)
-    with pytest.raises(ParameterError):
-        SampleGrid(t_values=(0.0, bad), z2_values=(0.3, 0.4))
-    with pytest.raises(ParameterError):
-        SampleGrid(t_values=(0.0, 0.1), z2_values=(0.3, complex(0.4, bad)))
+    # A sample's t belongs to surface_point, its z2 to the germ's disk.
+    model = ModelSpec(ONE_NONMINIMAL, get_germ("p1"))
+    with pytest.raises(DomainError):
+        invariance_residual(model, Rotate(0.5), (np.array([0.0, bad]), np.array([0.3, 0.4])))
+    z2 = np.array([0.3, complex(0.4, bad)])
+    with pytest.raises(DomainError):
+        invariance_residual(model, Rotate(0.5), (np.array([0.0, 0.1]), z2))

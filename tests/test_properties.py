@@ -27,10 +27,10 @@ from crlab import (  # noqa: E402
     linear_diag_field,
     surface_point,
     tangency_residual,
-    validation_grid,
     validation_residual,
 )
 from crlab.autsolve import (  # noqa: E402
+    VALIDATION_POINTS,
     _column_polys,
     _validation_residuals,
     field_from_vector,
@@ -43,6 +43,11 @@ from crlab.models import FAMILIES, surface_frame  # noqa: E402
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=20)
 
 GERMS = {gid: get_germ(gid) for gid in CATALOG_IDS}
+
+# The sampled checks take every t value below at every validation point,
+# t-major.
+T_VALUES = (0.04, -0.04, 0.11, -0.11, 0.19, -0.19, 0.28, -0.28)
+T, Z = (a.ravel() for a in np.meshgrid(T_VALUES, VALIDATION_POINTS, indexing="ij"))
 
 # The solver's columns with and without the constant monomial.
 _P1 = ModelSpec(ONE_NONMINIMAL, get_germ("p1"))
@@ -150,7 +155,6 @@ def test_stacked_residuals_equal_per_field_residuals_bit_for_bit(family, data):
     model = data.draw(models(family))
     columns = data.draw(st.sampled_from(COLUMNS))
     X = data.draw(coefficient_stacks(len(columns)))
-    T, Z = validation_grid().samples()
     z1, z2, _, _ = surface_frame(model, T, Z)
     C = X.view(complex)
     stacks = []
@@ -179,15 +183,17 @@ def test_tangency_residual_is_real_linear(family, data):
     combination = field_from_vector(
         a * vector_from_field(f, columns) + b * vector_from_field(g, columns), columns
     )
-    T, Z = validation_grid().samples()
     lhs = tangency_residual(model, combination, T, Z)
     rhs = a * tangency_residual(model, f, T, Z) + b * tangency_residual(model, g, T, Z)
     # Each residual sums at most 42 terms c z1^j z2^k g_i with |z1|, |z2| < 1
-    # on the grid: roundoff stays below 1e-12 of sum |c| * max |g|.
+    # on the grid: roundoff stays below 1e-12 of sum |c| * max |g|.  Below
+    # the normal range it is absolute instead, at most half the smallest
+    # subnormal per operation, and a and b scale the right side's.
     _, _, g1, g2 = surface_frame(model, T, Z)
     l1 = abs(a) * sum(map(abs, [*f.coeffs1.values(), *f.coeffs2.values()])) + abs(b) * sum(
         map(abs, [*g.coeffs1.values(), *g.coeffs2.values()]))
-    assert np.max(np.abs(lhs - rhs)) <= 1e-12 * l1 * np.max(np.abs(g1) + np.abs(g2))
+    subnormal = (1 + abs(a) + abs(b)) * 256 * np.finfo(float).smallest_subnormal
+    assert np.max(np.abs(lhs - rhs)) <= 1e-12 * l1 * np.max(np.abs(g1) + np.abs(g2)) + subnormal
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -198,15 +204,13 @@ def test_t_coefficients_sum_to_the_sampled_residual(family, data):
     # summed as a polynomial in t, are the tangency residual at every sample.
     model = data.draw(models(family))
     f = data.draw(fields_on(COLUMNS[1], bounded))
-    vg = validation_grid()
-    z = np.asarray(vg.z2_values)
-    T, Z = vg.samples()
+    z = VALIDATION_POINTS
     polys = _column_polys(model, z, {(comp, j) for comp, j, _ in COLUMNS[1]})
     total = np.zeros(len(T))
     for comp, coeffs in ((1, f.coeffs1), (2, f.coeffs2)):
         for (j, k), c in coeffs.items():
             for d, v in polys[(comp, j)].items():
-                total += T**d * np.tile(np.real(c * v * z**k), len(vg.t_values))
+                total += T**d * np.tile(np.real(c * v * z**k), len(T_VALUES))
     _, _, g1, g2 = surface_frame(model, T, Z)
     l1 = sum(map(abs, [*f.coeffs1.values(), *f.coeffs2.values()]))
     sampled = tangency_residual(model, f, T, Z)
