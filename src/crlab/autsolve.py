@@ -14,11 +14,12 @@ A radial germ (P depends on |z2| only) makes the rigid and m-nonminimal
 systems U(1)-equivariant: a monomial column carries one angular frequency
 f, columns of frequency +-f meet only the residual's frequency-f Fourier
 rows, and each block is graded into one small block per |f|, whose rows
-come from the real point of each shell.  Every reported basis vector is
-re-validated, exactly in t, at independent z2 points (``VALIDATION_POINTS``,
-on other shells), so a germ wrongly declared radial fails certification.
-Neither step samples t: the solver's one sampling setting is its z2 point
-set, ``solver_points(N)`` by default.
+come from the real point of each shell.  The null space is reported in
+reduced row echelon form, and each of those rows is re-validated, exactly in
+t, at independent z2 points (``VALIDATION_POINTS``, on other shells), so a
+germ wrongly declared radial fails certification.  Neither step samples t:
+the solver's one sampling setting is its z2 point set, ``solver_points(N)``
+by default.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigurationError, ParameterError
-from .fields import VectorFieldPoly, monomial_field
+from .fields import VectorFieldPoly
 from .models import M_NONMINIMAL, ONE_NONMINIMAL, RIGID, ModelSpec, surface_polys
 
 Column = tuple[int, int, int]  # (component, j, k): vector entries 2i (re), 2i+1 (im)
@@ -36,8 +37,6 @@ Column = tuple[int, int, int]  # (component, j, k): vector entries 2i (re), 2i+1
 GAP_CONFIDENT = 1e3
 GAP_AMBIGUOUS = 10.0
 CERT_TOL = 1e-8
-LABEL_TOL = 1e-4
-SPAN_TOL = 1e-8
 # Entries of the packed system above which assemble refuses a jet order.
 MAX_ENTRIES = 1 << 23
 
@@ -126,10 +125,11 @@ class TangencySystem:
 
 @dataclass
 class AutBasis:
-    """The null space as one block of coefficient rows: ``coefficients[i, c]``
-    is basis vector i's coefficient on the monomial ``columns[c]``.  For a
-    graded system ``frequencies[i]`` is row i's rotation frequency |f|; it
-    is None otherwise."""
+    """The null space as one block of coefficient rows, in reduced row
+    echelon form (``_rref``): ``coefficients[i, c]`` is basis vector i's
+    coefficient on the monomial ``columns[c]``.  ``labels[i]`` writes row i
+    as a field (``canonicalize``).  For a graded system ``frequencies[i]``
+    is row i's rotation frequency |f|; it is None otherwise."""
 
     singular_values: np.ndarray
     columns: tuple
@@ -138,7 +138,6 @@ class AutBasis:
     gap: float
     status: str
     validation_residuals: list
-    projection_residuals: list
     frequencies: list | None
 
     @property
@@ -541,9 +540,42 @@ def _r_factor(A: np.ndarray, block: Block) -> np.ndarray:
     return out
 
 
+def _echelon_columns(columns) -> list:
+    """The column indices in echelon order: total degree, then component,
+    then j descending."""
+    return sorted(range(len(columns)), key=[(j + k, comp, -j) for comp, j, k in columns].__getitem__)
+
+
+def _rref(R: np.ndarray, tol: float) -> list:
+    """Reduce the rows of R in place to reduced row echelon form, and return
+    each row's pivot column.  Each step scales the rows not yet reduced to
+    a largest entry of 1, and the first column, not yet a pivot, where one
+    of them is above tol is the next pivot: the rows are independent and 0
+    on the pivots so far, so there is one.  Entries at most tol are 0."""
+    free = np.ones(R.shape[1], bool)
+    pivots = []
+    for k in range(len(R)):
+        size = np.abs(R[k:])
+        top = size.max(axis=1, keepdims=True)
+        R[k:] /= top
+        size /= top
+        c = int(np.argmax(free & (size.max(axis=0) > tol)))
+        r = k + int(np.argmax(size[:, c]))
+        R[[k, r]] = R[[r, k]]
+        R[k] /= R[k, c]
+        factor = R[:, c].copy()
+        factor[k] = 0.0
+        R -= factor[:, None] * R[k]
+        free[c] = False
+        pivots.append(c)
+    R[np.abs(R) <= tol] = 0.0
+    return pivots
+
+
 def nullspace(system: TangencySystem, tau: float = 1e-8) -> AutBasis:
     """Right singular vectors below the relative threshold tau, block by
-    block, certified exactly in t at independent z2 points.
+    block, in reduced row echelon form and certified exactly in t at
+    independent z2 points.
 
     tau must lie in [max(m, n) * eps, 1) for an m x n system: below that
     roundoff floor (numpy's ``matrix_rank`` tolerance) no singular value
@@ -576,20 +608,40 @@ def nullspace(system: TangencySystem, tau: float = 1e-8) -> AutBasis:
     else:
         gap = float(s_above.min() / max(s_below.max(), np.finfo(float).tiny))
 
-    # Each null vector on its block's unknowns, in the merged order.
+    # The null vectors are known to noise: the roundoff floor or the largest
+    # null value, over the smallest value above the cutoff (Wedin's bound).
+    # A pivot above sqrt(noise) amplifies that by at most 1 / sqrt(noise),
+    # so the echelon rows are known to sqrt(noise).  They are formed on the
+    # matrix's unknowns, whose scales are alike, block by block (blocks share
+    # no unknown), and merged in the order of their pivots.
+    noise = max(floor * s[0], s_below.max(initial=0.0)) / s_above.min() if len(s_above) else floor
+    position = np.empty(system.n_unknowns, int)  # of each unknown, in echelon order
+    position[(2 * np.array(_echelon_columns(system.columns))[:, None] + [0, 1]).ravel()] = (
+        np.arange(system.n_unknowns))
     starts = np.cumsum([0] + [len(sb) for sb, _ in factors])
-    V = np.zeros((len(s_below), system.n_unknowns))
-    block_of = np.searchsorted(starts, order[null_mask], side="right") - 1
-    for row, (i, b) in enumerate(zip(order[null_mask], block_of)):
-        V[row, system.blocks[b].unknowns] = factors[b][1][i - starts[b]]
-    C = (V * system.scale + 0.0).view(complex)  # as in field_from_vector
+    null = order[null_mask]
+    block_of = np.searchsorted(starts, null, side="right") - 1
+    V = np.zeros((len(null), system.n_unknowns))
+    pivots = np.zeros(len(null), int)
+    for b in np.unique(block_of).tolist():
+        rows, unknowns = np.flatnonzero(block_of == b), system.blocks[b].unknowns
+        ech = np.argsort(position[unknowns])
+        R = factors[b][1][null[rows] - starts[b]][:, ech]
+        pivots[rows] = unknowns[ech][_rref(R, np.sqrt(noise))]
+        V[rows[:, None], unknowns[ech]] = R
+    rank = np.argsort(position[pivots])
+    V, pivots = V[rank], pivots[rank]
+    scale = system.scale
+    C = (V * scale / scale[pivots][:, None] + 0.0).view(complex)  # as in field_from_vector
     resids = _validation_residuals(system.model, C, system.columns)
     # |C| row maxima are the basis fields' max_coefficient().  A field tangent
-    # only to the Levi-flat model P = 0 leaves a residual of the order of a
-    # power of P, so the bound scales with P where P is small.
-    p_max = np.max(np.abs(system.model.germ(VALIDATION_POINTS)))
-    scale = np.maximum(np.abs(C).max(axis=1, initial=0.0), np.finfo(float).tiny)
-    certified = resids <= CERT_TOL * min(1.0, p_max) * scale
+    # only to a Levi-flat model leaves a residual of the order of P where P
+    # is small, and of the order of P's variation (z dP/dz) where P is
+    # nearly constant, so the bound scales with both.
+    germ, z = system.model.germ, VALIDATION_POINTS
+    level = min(1.0, np.max(np.abs(germ(z))), np.max(np.abs(z * germ.wirt(z))))
+    bound = np.maximum(np.abs(C).max(axis=1, initial=0.0), np.finfo(float).tiny)
+    certified = resids <= CERT_TOL * level * bound
     at_roundoff = s_below.max(initial=0.0) <= floor * s[0]
 
     if gap < GAP_AMBIGUOUS:
@@ -607,87 +659,34 @@ def nullspace(system: TangencySystem, tau: float = 1e-8) -> AutBasis:
         gap=gap,
         status=status,
         validation_residuals=resids.tolist(),
-        projection_residuals=[],
-        frequencies=[system.blocks[b].frequency for b in block_of] if system.graded else None,
+        frequencies=[abs(_frequency(system.columns[p // 2])) for p in pivots]
+        if system.graded else None,
     )
 
 
-# Candidate canonical fields with labels.  Each is one monomial with a unit
-# coefficient, so each is a unit coordinate vector of the coefficient space.
-DICTIONARY = (
-    ("z1 dz1", monomial_field(1, 1, 0, 1.0)),
-    ("i z1 dz1", monomial_field(1, 1, 0, 1j)),
-    ("i z2 dz2", monomial_field(2, 0, 1, 1j)),
-    ("z2 dz2", monomial_field(2, 0, 1, 1.0)),
-    ("i dz2", monomial_field(2, 0, 0, 1j)),
-    ("dz2", monomial_field(2, 0, 0, 1.0)),
-    ("i dz1", monomial_field(1, 0, 0, 1j)),
-    ("dz1", monomial_field(1, 0, 0, 1.0)),
-)
-
-
-# The (component, j, k) coordinates the DICTIONARY entries sit on.
-_DICTIONARY_KEYS = frozenset(
-    (comp, *key) for _, f in DICTIONARY for comp, c in ((1, f.coeffs1), (2, f.coeffs2)) for key in c
-)
+def _monomial(comp: int, j: int, k: int) -> str:
+    powers = [f"z{v}" + (f"^{e}" if e > 1 else "") for v, e in ((1, j), (2, k)) if e]
+    return " ".join([*powers, f"dz{comp}"])
 
 
 def canonicalize(basis: AutBasis) -> AutBasis:
-    """Label basis vectors by best-matching ``DICTIONARY`` entries.
-
-    If the matched entries span the same space (to ``SPAN_TOL``), their
-    unit rows replace the raw SVD rows; otherwise unmatched directions are
-    labeled "unidentified" and the raw rows are kept.
-    """
-    dim = basis.dimension
-    if dim == 0:
-        return basis
-
-    # B: the basis coefficients on every coordinate some basis field or
-    # DICTIONARY entry uses, in sorted (component, j, k) order.
-    columns, C = basis.columns, basis.coefficients
-    used = np.flatnonzero(C.any(axis=0))
-    keys = sorted(_DICTIONARY_KEYS.union(columns[i] for i in used))
-    pos = {key: p for p, key in enumerate(keys)}
-    B = np.zeros((dim, len(keys)), dtype=complex)
-    B[:, [pos[columns[i]] for i in used]] = C[:, used]
-    B = B.view(float) / np.linalg.norm(B.view(float), axis=1)[:, None]
-    # Orthonormalize (SVD vectors already are; QR guards roundoff).
-    q, _ = np.linalg.qr(B.T)
-    Bo = q.T[:dim]
-
-    matched = []
-    proj_residuals = []
-    for label, f in DICTIONARY:
-        v = vector_from_field(f, keys)
-        resid = float(np.linalg.norm(v - Bo.T @ (Bo @ v)))
-        if resid <= LABEL_TOL:
-            matched.append((label, np.flatnonzero(v)[0]))
-            proj_residuals.append(resid)
-
-    if len(matched) == dim:
-        # The matched entries span the coordinates they sit on, so Bo lies in
-        # their span when its rows vanish on every other coordinate.
-        outside = np.ones(len(keys) * 2, dtype=bool)
-        outside[[i for _, i in matched]] = False
-        if np.linalg.norm(Bo[:, outside], axis=1).max() <= SPAN_TOL:
-            # Entry i is 1 (even i) or 1j on keys[i // 2], a column: Bo, whose
-            # span holds the entry, is 0 on every other key.
-            unit = np.zeros((dim, len(columns)), dtype=complex)
-            for r, (_, i) in enumerate(matched):
-                unit[r, columns.index(keys[i // 2])] = 1j if i % 2 else 1.0
-            return replace(
-                basis,
-                coefficients=unit,
-                labels=[label for label, _ in matched],
-                projection_residuals=proj_residuals,
-                frequencies=None if basis.frequencies is None
-                else [abs(_frequency(keys[i // 2])) for _, i in matched],
-            )
-
-    labels = [label for label, _ in matched][:dim]
-    labels += ["unidentified"] * (dim - len(labels))
-    return replace(basis, labels=labels, projection_residuals=proj_residuals)
+    """Label each basis row as its field: a sum of monomial terms in echelon
+    order, the pivot first, with coefficients to 6 significant digits
+    (``i z2 dz2``, ``dz2 - 2 z2 dz1``, ``(1 + 2i) z1 dz1``)."""
+    order = _echelon_columns(basis.columns)
+    C = basis.coefficients[:, order]
+    labels = [""] * len(C)
+    rows, cols = np.nonzero(C)  # row by row, each in echelon order
+    for r, i, c in zip(rows.tolist(), cols.tolist(), C[rows, cols].tolist()):
+        if c.real and c.imag:
+            sign, coef = "+", f"({c.real:.6g} {'-' if c.imag < 0 else '+'} {abs(c.imag):.6g}i)"
+        else:
+            x = c.real or c.imag
+            sign, coef = "-" if x < 0 else "+", f"{abs(x):.6g}"
+            coef = ("" if coef == "1" else coef) + ("i" if c.imag else "")
+        term = " ".join(filter(None, [coef, _monomial(*basis.columns[order[i]])]))
+        labels[r] += f" {sign} {term}" if labels[r] else ("-" if sign == "-" else "") + term
+    return replace(basis, labels=labels)
 
 
 def solve_model(
@@ -717,6 +716,5 @@ def solve_model(
         "labels": labeled.labels,
         "frequencies": labeled.frequencies,
         "validation_residuals": [float(r) for r in labeled.validation_residuals],
-        "projection_residuals": [float(r) for r in labeled.projection_residuals],
     }
     return labeled, report

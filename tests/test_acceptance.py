@@ -51,8 +51,10 @@ def test_criterion_01_rotational_flat_model_dimension_two():
     ok = (
         basis.dimension == 2
         and basis.gap >= 1e3
-        and set(basis.labels) == {"z1 dz1", "i z2 dz2"}
-        and all(p <= 1e-6 for p in report["projection_residuals"])
+        and basis.labels == ["z1 dz1", "i z2 dz2"]
+        # Row by row, each label is its row's one monomial.
+        and [[(r["component"], r["j"], r["k"], r["re"], r["im"]) for r in row]
+             for row in report["basis"]] == [[(1, 1, 0, 1.0, 0.0)], [(2, 0, 1, 0.0, 1.0)]]
         and elapsed <= 10.0
     )
     _verdict(

@@ -23,10 +23,7 @@ from crlab import (
 )
 from crlab.autsolve import (
     CERT_TOL,
-    DICTIONARY,
-    LABEL_TOL,
     SOLVER_SHELLS,
-    SPAN_TOL,
     VALIDATION_POINTS,
     _column_polys,
     _monomials,
@@ -483,7 +480,12 @@ def test_solve_model_labels_p1():
     assert basis.labels == ["z1 dz1", "i z2 dz2"]
     assert report["dimension"] == 2
     assert report["labels"] == basis.labels
-    assert all(p < 1e-6 for p in report["projection_residuals"])
+    # Row by row: each label is its row's one monomial, coefficient 1 or i.
+    assert report["basis"] == [
+        [{"component": 1, "j": 1, "k": 0, "re": 1.0, "im": 0.0}],
+        [{"component": 2, "j": 0, "k": 1, "re": 0.0, "im": 1.0}],
+    ]
+    assert "projection_residuals" not in report
 
 
 def test_solve_model_m_family():
@@ -612,68 +614,123 @@ def test_one_degree_blocks_keep_the_chunked_r_bits(germ, points):
             assert np.array_equal(_r_factor(A, b), chunked_r(A))
 
 
+def echelon_key(column):
+    """The echelon order of a monomial (comp, j, k): total degree, then
+    component, then j descending."""
+    comp, j, k = column
+    return (j + k, comp, -j)
+
+
+def gauss_jordan(rows, tol):
+    """Reduced row echelon form of the rows (lists of numbers), one entry at
+    a time: before each step the rows not yet reduced are scaled to a
+    largest entry of 1, and the first entry, not yet a pivot, where one of
+    them is above tol is the pivot.  Entries at most tol become 0.  Returns
+    the rows, sorted by pivot, and their pivots."""
+    rows = [list(row) for row in rows]
+    width = len(rows[0]) if rows else 0
+    pivots = []
+    for k in range(len(rows)):
+        for i in range(k, len(rows)):
+            top = max(abs(x) for x in rows[i])
+            rows[i] = [x / top for x in rows[i]]
+        c = next(c for c in range(width) if c not in pivots
+                 and any(abs(rows[i][c]) > tol for i in range(k, len(rows))))
+        r = max(range(k, len(rows)), key=lambda i: abs(rows[i][c]))
+        rows[k], rows[r] = rows[r], rows[k]
+        p = rows[k][c]
+        rows[k] = [x / p for x in rows[k]]
+        for i in range(len(rows)):
+            if i != k:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[k])]
+        pivots.append(c)
+    rows = [[0.0 if abs(x) <= tol else x for x in row] for row in rows]
+    rank = sorted(range(len(rows)), key=pivots.__getitem__)
+    return [rows[i] for i in rank], [pivots[i] for i in rank]
+
+
+def label_of(f):
+    """A field written as its terms in echelon order, coefficients to 6
+    significant digits: "z1 dz1", "-2i z2 dz1", "(1 + 2i) dz2"."""
+    text = ""
+    recs = sorted(f.to_records(), key=lambda r: echelon_key((r["component"], r["j"], r["k"])))
+    for r in recs:
+        z = "".join(f"z{v}" + (f"^{e}" if e > 1 else "") + " "
+                    for v, e in ((1, r["j"]), (2, r["k"])) if e) + f"dz{r['component']}"
+        if r["re"] and r["im"]:
+            sign = "+"
+            coef = f"({r['re']:.6g} {'-' if r['im'] < 0 else '+'} {abs(r['im']):.6g}i) "
+        else:
+            x = r["re"] or r["im"]
+            sign, size = "-" if x < 0 else "+", f"{abs(x):.6g}"
+            coef = ("" if size == "1" else size) + ("i" if r["im"] else "")
+            coef += " " if coef else ""
+        text += f" {sign} {coef}{z}" if text else ("-" if sign == "-" else "") + coef + z
+    return text
+
+
 def per_vector_report(model, N):
     """The parts of solve_model's report that nullspace and canonicalize
-    make, built one null vector at a time: a field per block SVD row, its
-    validation_residual, and a coefficient vector per field over the union
-    of the fields' monomials."""
+    make, built one null vector at a time: a block SVD row per null vector,
+    a Gauss-Jordan pass over each block's null vectors, their entries in
+    echelon order (blocks share no unknown), a field per echelon row, its
+    validation_residual and its label."""
     system = assemble(model, N)
     vectors = []
     for b in system.blocks:
         A = system.matrix[b.rows, : len(b.unknowns)]
         _, s_b, vt_b = np.linalg.svd(_r_factor(A, b), full_matrices=False)
-        for value, v in zip(s_b, vt_b):
-            x = np.zeros(system.n_unknowns)
-            x[b.unknowns] = v
-            vectors.append((value, x * system.scale))
-    vectors.sort(key=lambda pair: -pair[0])  # stable: ties keep block order
-    s = np.array([value for value, _ in vectors])
+        vectors += [(value, b, v) for value, v in zip(s_b, vt_b)]
+    vectors.sort(key=lambda item: -item[0])  # stable: ties keep block order
+    s = np.array([value for value, _, _ in vectors])
     null = s <= 1e-8 * s[0]
-    basis = [field_from_vector(x, system.columns) for (_, x), n in zip(vectors, null) if n]
+    floor = max(system.n_samples, system.n_unknowns) * EPS
+    # The null vectors are known to the roundoff floor or the largest null
+    # value over the smallest value kept out; the echelon tolerance is the
+    # square root of that.
+    above, below = s[~null], s[null]
+    noise = max(floor * s[0], max(below, default=0.0)) / min(above) if len(above) else floor
+    columns = system.columns
+    entries = [2 * i + e for i in sorted(range(len(columns)), key=lambda i: echelon_key(columns[i]))
+               for e in (0, 1)]
+    reduced = []  # (echelon position of the pivot, coefficient vector)
+    for b in system.blocks:
+        mine = [v for (_, block, v), n in zip(vectors, null) if n and block is b]
+        if not mine:
+            continue
+        unknowns = sorted(b.unknowns.tolist(), key=entries.index)
+        rows, pivots = gauss_jordan([[v[list(b.unknowns).index(u)] for u in unknowns] for v in mine],
+                                    float(np.sqrt(noise)))
+        for row, p in zip(rows, pivots):
+            x = np.zeros(system.n_unknowns)
+            x[unknowns] = row
+            reduced.append((entries.index(unknowns[p]), x * system.scale / system.scale[unknowns[p]]))
+    basis = [field_from_vector(x, columns) for _, x in sorted(reduced, key=lambda item: item[0])]
     resids = [validation_residual(model, f) for f in basis]
     tiny = np.finfo(float).tiny
     finite = 0 < null.sum() < len(s) and s[null].max() > 0
     gap = float(s[~null].min() / max(s[null].max(), tiny)) if finite else None
-    p_max = min(1.0, float(np.max(model.germ(VALIDATION_POINTS))))
+    z = VALIDATION_POINTS
+    level = min(1.0, float(np.max(np.abs(model.germ(z)))),
+                float(np.max(np.abs(z * model.germ.wirt(z)))))
     certified = all(
-        r <= CERT_TOL * p_max * max(f.max_coefficient(), tiny) for r, f in zip(resids, basis)
+        r <= CERT_TOL * level * max(f.max_coefficient(), tiny) for r, f in zip(resids, basis)
     )
-    floor = max(system.n_samples, system.n_unknowns) * EPS
     at_floor = all(value <= floor * s[0] for value in s[null])
     if gap is not None and gap < 10:
         status = "ambiguous"
     else:
         confident = (gap is None or gap >= 1e3) and certified and at_floor
         status = "confident" if confident else "unconfirmed"
-
-    dim, matched = len(basis), []
-    fields_ = basis + [f for _, f in DICTIONARY]
-    keys = sorted({(c, j, k) for f in fields_ for c, cs in ((1, f.coeffs1), (2, f.coeffs2))
-                   for (j, k), v in cs.items() if v != 0})
-    if dim:
-        B = np.array([vector_from_field(f, keys) for f in basis])
-        Bo = np.linalg.qr((B / np.linalg.norm(B, axis=1)[:, None]).T)[0].T[:dim]
-        for label, f in DICTIONARY:
-            v = vector_from_field(f, keys)
-            r = float(np.linalg.norm(v - Bo.T @ (Bo @ v)))
-            if r <= LABEL_TOL:
-                matched.append((label, f, np.flatnonzero(v)[0], r))
-    labels = [m[0] for m in matched][:dim]
-    labels += ["unidentified"] * (dim - len(labels))
-    if dim and len(matched) == dim:
-        outside = np.ones(2 * len(keys), dtype=bool)
-        outside[[m[2] for m in matched]] = False
-        if np.linalg.norm(Bo[:, outside], axis=1).max() <= SPAN_TOL:
-            basis = [m[1] for m in matched]
     return {
         "singular_values": s.tolist(),
-        "dimension": dim,
+        "dimension": len(basis),
         "gap": gap,
         "status": status,
         "basis": [f.to_records() for f in basis],
-        "labels": labels,
+        "labels": [label_of(f) for f in basis],
         "validation_residuals": resids,
-        "projection_residuals": [m[3] for m in matched],
     }
 
 
@@ -781,6 +838,25 @@ def test_p_term_rule_follows_tau():
     assert basis.status == "unconfirmed" and basis.dimension > 2
 
 
+@pytest.mark.parametrize("family, germ, m, right", [
+    (ONE_NONMINIMAL, "p1", 1, 2),
+    (M_NONMINIMAL, "p3", 2, 0),
+])
+def test_nearly_constant_p_is_not_certified(family, germ, m, right):
+    # With a = 1e-6, P is nearly the constant 1/e: the model is nearly
+    # Levi-flat, and a field tangent to the flat model leaves a residual of
+    # the order of P's variation, max |z dP/dz| at the validation points
+    # (2e-7 for p1, 1e-5 for p3).  The certificate scales with it, so the
+    # extra fields (p1 reported dimension 31, p3 m = 2 reported z2 dz2) are
+    # not confident.
+    model = ModelSpec(family, get_germ(germ, a=1e-6), m=m)
+    z = VALIDATION_POINTS
+    assert np.max(np.abs(z * model.germ.wirt(z))) < 1e-4
+    basis, _ = solve_model(model, N=5)
+    assert basis.dimension > right
+    assert basis.status == "unconfirmed"
+
+
 @pytest.mark.parametrize("m", [*range(2, 31), 50, 400])
 def test_m_nonminimal_is_confident_only_where_right(m):
     # Dimension 1 (i z2 dz2) for every m: the exact t-coefficients see the
@@ -837,17 +913,37 @@ def test_counterexample_germ_is_never_confident(N):
 @pytest.mark.parametrize("germ, family", [("p1", ONE_NONMINIMAL), ("control", RIGID)])
 def test_canonicalize_relabels_its_own_output(germ, family):
     # canonicalize reads the basis's coefficient block, which its own output
-    # carries too.  p1's labelled rows are exact unit rows, whose dictionary
-    # entries project with residual 0; the hyperquadric keeps its raw rows.
+    # carries too, and writes one label per row.
     labeled, report = solve_model(ModelSpec(family, get_germ(germ)))
     again = canonicalize(labeled)
     assert again.labels == report["labels"]
     assert [f.to_records() for f in again.basis] == report["basis"]
+    assert again.labels == [label_of(f) for f in again.basis]
     if germ == "p1":
         assert again.labels == ["z1 dz1", "i z2 dz2"]
-        assert again.projection_residuals == [0.0, 0.0]
     else:
-        assert again.projection_residuals == report["projection_residuals"]
+        assert again.labels[0] == "z1 dz1 + 0.5 z2 dz2"
+
+
+@pytest.mark.parametrize("name", ORACLE_MODELS)
+@pytest.mark.parametrize("N", [5, 12])
+def test_basis_rows_are_in_reduced_row_echelon_form(name, N):
+    # Each row has a pivot entry 1, the first of its entries in echelon
+    # order; the pivots rise from row to row, and each pivot entry is 0 in
+    # every other row (test_nullspace_matches_direct_thin_svd checks that
+    # they span the SVD's null vectors).
+    model = ORACLE_MODELS[name]
+    system = assemble(model, N)
+    basis = canonicalize(nullspace(system))
+    columns = basis.columns
+    entries = [2 * i + e for i in sorted(range(len(columns)), key=lambda i: echelon_key(columns[i]))
+               for e in (0, 1)]
+    R = basis.coefficients.view(float)[:, entries]
+    pivots = [int(np.flatnonzero(row)[0]) for row in R]
+    assert pivots == sorted(set(pivots)) and len(pivots) == basis.dimension
+    assert np.array_equal(R[:, pivots], np.eye(basis.dimension))
+    assert len(basis.labels) == len(basis.validation_residuals) == basis.dimension
+    assert all(label != "unidentified" for label in basis.labels)
 
 
 def test_replace_keeps_the_coefficient_block():

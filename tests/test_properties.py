@@ -25,6 +25,7 @@ from crlab import (  # noqa: E402
     get_germ,
     integrate_field,
     linear_diag_field,
+    solve_model,
     surface_point,
     tangency_residual,
     validation_residual,
@@ -230,6 +231,60 @@ HYPERQUADRIC_FIELDS = (
     VectorFieldPoly({(1, 1): 2j}, {(0, 2): 2j, (1, 0): -1j}),
     VectorFieldPoly({(2, 0): 1j}, {(1, 1): 1j}),
 )
+
+
+# The monomials of degree <= 2, in echelon order: total degree, then
+# component, then j descending.
+ECHELON_2 = [(comp, j, d - j) for d in range(3) for comp in (1, 2) for j in range(d, -1, -1)]
+
+# The reduced row echelon form of su(2,1) as the solver labels it; the last
+# five rows, which vanish at the origin, are aut_0.
+SU21_LABELS = [
+    "i dz1",
+    "dz2 - 2 z2 dz1",
+    "i dz2 + 2i z2 dz1",
+    "z1 dz1 + 0.5 z2 dz2",
+    "z1 dz2 + 2 z1 z2 dz1 + 2 z2^2 dz2",
+    "i z1 dz2 - 2i z1 z2 dz1 - 2i z2^2 dz2",
+    "i z2 dz2",
+    "i z1^2 dz1 + i z1 z2 dz2",
+]
+
+
+def su21_rref(vanish):
+    """The reduced row echelon form of HYPERQUADRIC_FIELDS over their real
+    coefficient entries (re, then im, of each monomial of ECHELON_2), as
+    {(comp, j, k): coefficient} per row.  A pivot is an entry that raises the
+    rank of the entries before it; aut_0 is the rows whose pivot is not a
+    constant monomial (the first four entries)."""
+    B = np.array([[x for comp, j, k in ECHELON_2
+                   for v in [(f.coeffs1 if comp == 1 else f.coeffs2).get((j, k), 0j)]
+                   for x in (v.real, v.imag)] for f in HYPERQUADRIC_FIELDS])
+    pivots = []
+    for c in range(B.shape[1]):
+        if np.linalg.matrix_rank(B[:, pivots + [c]]) > len(pivots):
+            pivots.append(c)
+    R = np.linalg.solve(B[:, pivots], B)
+    rows = [row for row, p in zip(R, pivots) if p >= 4 or not vanish]
+    return [{key: complex(row[2 * i], row[2 * i + 1]) for i, key in enumerate(ECHELON_2)
+             if row[2 * i] or row[2 * i + 1]} for row in rows]
+
+
+@pytest.mark.parametrize("vanish", [False, True], ids=("aut", "aut0"))
+@pytest.mark.parametrize("N", range(5, 17))
+def test_hyperquadric_basis_is_the_rref_of_su21(N, vanish):
+    # The reported rows are su(2,1)'s reduced row echelon form to 1e-10,
+    # whatever N: each is labelled, and its frequency is the |f| of each of
+    # its monomials (k for dz1, k - 1 for dz2).
+    basis, report = solve_model(ModelSpec(RIGID, get_germ("control")), N=N,
+                                vanish_at_origin=vanish)
+    want = su21_rref(vanish)
+    assert report["labels"] == SU21_LABELS[-len(want):]
+    assert len(report["basis"]) == len(report["frequencies"]) == len(want)
+    for records, f, row in zip(report["basis"], report["frequencies"], want):
+        got = {(r["component"], r["j"], r["k"]): complex(r["re"], r["im"]) for r in records}
+        assert max(abs(got.get(key, 0) - row.get(key, 0)) for key in {*got, *row}) <= 1e-10
+        assert {abs(k if comp == 1 else k - 1) for comp, _, k in got} == {f}
 
 
 def assert_exact_residual_vanishes(model, f, N):
