@@ -19,18 +19,20 @@ reduced row echelon form, and each of those rows is re-validated, exactly in
 t, at independent z2 points (``VALIDATION_POINTS``, on other shells), so a
 germ wrongly declared radial fails certification.  Neither step samples t:
 the solver's one sampling setting is its z2 point set, ``solver_points(N)``
-by default.
+by default.  The blocks depend on a solve's structure, never on P, so their
+layout is built once per structure (``_layout``) and holds no germ value.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import ConfigurationError, ParameterError
 from .fields import VectorFieldPoly
-from .models import M_NONMINIMAL, ONE_NONMINIMAL, RIGID, ModelSpec, surface_polys
+from .models import M_NONMINIMAL, ONE_NONMINIMAL, RIGID, ModelSpec, _surface_polys
 
 Column = tuple[int, int, int]  # (component, j, k): vector entries 2i (re), 2i+1 (im)
 
@@ -42,11 +44,8 @@ MAX_ENTRIES = 1 << 23
 
 
 def shell_points(radii, n_angles, phase=0.0):
-    pts = []
-    for r in radii:
-        for q in range(n_angles):
-            pts.append(r * np.exp(1j * (phase + 2 * np.pi * q / n_angles)))
-    return tuple(pts)
+    return tuple(r * np.exp(1j * (phase + 2 * np.pi * q / n_angles))
+                 for r in radii for q in range(n_angles))
 
 
 # The z2 points every basis field is validated at, on shells apart from the
@@ -64,7 +63,7 @@ def solver_points(N: int) -> tuple:
     residual row holds, and none lies on the real axis."""
     angles = np.pi * (2 * np.arange(N + 4) + 1) / (2 * N + 8)
     upper = (np.array(SOLVER_SHELLS)[:, None] * np.exp(1j * angles)).ravel()
-    return tuple(np.concatenate((upper, np.conj(upper))))
+    return tuple(np.concatenate((upper, np.conj(upper))).tolist())
 
 
 @dataclass(frozen=True)
@@ -84,6 +83,36 @@ class Block:
     first: np.ndarray
     last: np.ndarray
     frequency: int | None
+
+    @functools.cached_property
+    def _staircase(self) -> tuple:
+        """``_r_factor``'s steps, planned once from the structure: the unknowns
+        in play (a slice if a run), their count, where R goes among them, the
+        bounds of the row chunks stacked under R, ``done`` and the k set aside."""
+        n_deg = len(self.degrees)
+        h = (self.rows.stop - self.rows.start) // n_deg  # rows per degree
+        steps, n_r, play, done, p = [], 0, np.arange(0), 0, 0
+        while p < n_deg:
+            q = p
+            while self.frequency is not None and q + 1 < n_deg and (
+                    (q + 2 - p) * h + n_r <= 4 * np.count_nonzero(self.first[done:] <= q + 1)):
+                q += 1
+            now = done + np.flatnonzero(self.first[done:] <= q)
+            bounds = [p * h]
+            while bounds[-1] < (q + 1) * h:
+                bounds.append(min(bounds[-1] + 4 * len(now) - n_r, (q + 1) * h))
+                n_r = min(n_r + bounds[-1] - bounds[-2], len(now))
+            k = int(np.count_nonzero(self.last[now] <= q))  # now[:k] = done, ..., done + k - 1
+            at = _slice(np.searchsorted(now, play))  # where R's columns go in now
+            steps.append((_slice(now), len(now), at, tuple(bounds), done, k))
+            n_r, play, done, p = max(n_r - k, 0), now[k:], done + k, q + 1
+        return tuple(steps)
+
+
+def _slice(index: np.ndarray):
+    """index as a slice where it is a run of consecutive integers."""
+    run = len(index) and index[-1] - index[0] == len(index) - 1
+    return slice(int(index[0]), int(index[-1]) + 1) if run else _read_only(index)[0]
 
 
 @dataclass(frozen=True)
@@ -163,11 +192,11 @@ def _monomials(N: int, include_origin: bool):
     ]
 
 
-def _require_curved(model: ModelSpec, points, bound: float) -> None:
+def _require_curved(model: ModelSpec, p: np.ndarray, bound: float) -> None:
     """Reject a model whose points cannot tell it from the Levi-flat P = 0,
-    whose algebra is infinite-dimensional: max |P| over the z2 points is at
-    most ``bound`` (0 in assemble, tau in nullspace)."""
-    p_max = float(np.max(np.abs(model.germ(np.asarray(points)))))
+    whose algebra is infinite-dimensional: max |P| over the z2 points, p, is
+    at most ``bound`` (0 in assemble, tau in nullspace)."""
+    p_max = float(np.max(np.abs(p)))
     if p_max <= bound:
         raise ParameterError(
             "the solver requires P not identically zero on a neighborhood of 0; "
@@ -176,7 +205,13 @@ def _require_curved(model: ModelSpec, points, bound: float) -> None:
         )
 
 
-def _sigma(model: ModelSpec) -> int | None:
+@functools.lru_cache(maxsize=1)
+def _germ_at(germ, points: tuple) -> np.ndarray:
+    """P at the z2 points (read-only), kept for nullspace after assemble."""
+    return _read_only(germ(np.asarray(points)))[0]
+
+
+def _sigma(family: str, m: int) -> int | None:
     """The antiholomorphic involution sigma that fixes the family's models
     when P is conjugation-even, as a parity rule w: entry e (0 for the real
     part, 1 for the imaginary part) of column (comp, j, k) is sigma-even when
@@ -187,20 +222,20 @@ def _sigma(model: ModelSpec) -> int | None:
     Then a residual row of t-degree d at conj(z) is (-1)^d times the row at
     z on the sigma-even unknowns and -(-1)^d times it on the sigma-odd ones,
     so the rows at z alone, split by parity, have the same null space."""
-    if model.family == RIGID:
+    if family == RIGID:
         return 0
-    if model.family == M_NONMINIMAL and model.m % 2 == 0:
+    if family == M_NONMINIMAL and m % 2 == 0:
         return 1
     return None
 
 
-def _conjugation_even(model: ModelSpec, z: np.ndarray) -> bool:
-    """Whether the points come as z, then conj(z) (``solver_points``), with
-    P(conj z) = P(z) and dP/dz(conj z) = conj(dP/dz(z)) bit for bit."""
+def _conjugation_even(z: np.ndarray, p: np.ndarray, pw: np.ndarray) -> bool:
+    """Whether the points z come as z, then conj(z) (``solver_points``), with
+    P(conj z) = P(z) and dP/dz(conj z) = conj(dP/dz(z)) bit for bit, for P
+    and dP/dz at z, p and pw."""
     h = len(z) // 2
     if len(z) % 2 or not np.array_equal(z[h:], np.conj(z[:h])):
         return False
-    p, pw = model.germ(z), model.germ.wirt(z)
     return np.array_equal(p[h:], p[:h]) and np.array_equal(pw[h:], np.conj(pw[:h]))
 
 
@@ -213,10 +248,11 @@ def _poly_mul(a: dict, b: dict) -> dict:
     return out
 
 
-def _column_polys(model: ModelSpec, z, pairs) -> dict:
-    """g_comp z1^j as a polynomial in t at the points z, for each (comp, j)."""
-    z1, g1, g2 = surface_polys(model, z)
-    powers = [{0: np.ones_like(z)}]
+def _column_polys(frame, pairs) -> dict:
+    """g_comp z1^j as a polynomial in t, for each (comp, j), from z1, g1 and
+    g2 at some points (``surface_polys``)."""
+    z1, g1, g2 = frame
+    powers = [{0: np.ones_like(g1[0])}]
     for _ in range(max((j for _, j in pairs), default=0)):
         powers.append(_poly_mul(powers[-1], z1))
     return {(comp, j): _poly_mul(g1 if comp == 1 else g2, powers[j]) for comp, j in pairs}
@@ -246,6 +282,137 @@ def _frequency(column: Column) -> int:
     and k - 1 for comp 2, because dP/dz carries e^{-i phi}."""
     comp, _, k = column
     return k if comp == 1 else k - 1
+
+
+# Structures whose layout (``_layout``) is kept: a solve-sweep pass has 32.
+_LAYOUTS = 64
+
+
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@functools.lru_cache(maxsize=_LAYOUTS)
+def _columns(N: int, vanish_at_origin: bool) -> tuple[Column, ...]:
+    """The monomial columns, one tuple for the layouts that share them."""
+    monos = _monomials(N, include_origin=not vanish_at_origin)
+    return tuple((comp, j, k) for comp in (1, 2) for (j, k) in monos)
+
+
+@functools.lru_cache(maxsize=_LAYOUTS)
+def _layout(family: str, m: int, N: int, vanish_at_origin: bool, graded: bool,
+            halves: int, n_z: int, n_points: int) -> tuple:
+    """What ``assemble`` writes for one structure (``n_z`` points per row
+    group, a t-degree's rows; sigma ``halves`` 2 or 1), with no germ value:
+    columns, (comp, j) pairs, blocks, shape, and read-only terms, src,
+    groups, starts, plus_i and cols.  ``assemble`` reads each pair's
+    polynomials (``_column_polys``) in order after a zero one: value i is
+    polynomial ``terms[0, i]`` times (z2 / max|z2|)^``terms[1, i]``, then a
+    graded system's values turned by i^(sign f), +i where ``plus_i``.  A
+    strip is a column's entries on a row group: strip s is entry ``src[s] %
+    2`` (Re or -Im) of value ``src[s] // 2`` in column ``cols[s]``, and those
+    from ``starts[i]`` on are in row group ``groups[i]``.  Raises
+    ConfigurationError for a system beyond its size limit or without a 2x
+    oversampling (an error is not cached)."""
+    w = _sigma(family, m)
+    columns = _columns(N, vanish_at_origin)
+    pairs = tuple(sorted({(comp, j) for comp, j, _ in columns}))
+    # The supports alone, from the polynomials at no point.
+    supports = _column_polys(_surface_polys(family, m, np.empty(0), np.empty(0, complex)), pairs)
+    layout = []  # per block: degrees, columns, first, last, parts
+    for degrees, cols in _weight_blocks(supports, columns):
+        pos = {d: p for p, d in enumerate(degrees)}
+        # Where each column first and last appears, and the columns in
+        # (last, first) order; sorted() is stable, so a one-degree block
+        # keeps the column order.
+        span = {pair: (pos[max(supports[pair])], pos[min(supports[pair])])
+                for pair in {columns[i][:2] for i in cols}}
+        cols = sorted(cols, key=lambda i: span[columns[i][:2]])
+        last, first = np.array([span[columns[i][:2]] for i in cols]).T
+        # The block's parts: (frequency, sigma half or None for both entries,
+        # positions of its columns, angles per degree, positions of the
+        # degrees where one of those columns is in play: its other rows are 0).
+        if graded:
+            freq = np.array([abs(_frequency(columns[i])) for i in cols])
+            groups = [(f, np.flatnonzero(freq == f)) for f in np.unique(freq).tolist()]
+        else:
+            groups = [(None, np.arange(len(cols)))]
+        parts = []
+        for f, c in groups:
+            d = np.arange(len(degrees))
+            kept = np.flatnonzero(((first[c, None] <= d) & (d <= last[c, None])).any(axis=0))
+            if halves == 2 and f != 0:
+                parts += [(f, half, c, 1, kept) for half in (0, 1)]
+            else:  # both entries, and both angles for a graded f >= 1
+                parts.append((f, None, c, 2 if f else 1, kept))
+        layout.append((degrees, cols, first, last, parts))
+    n_rows = n_z * sum(len(kept) * angles for *_, parts in layout for *_, angles, kept in parts)
+    width = max(len(c) * (1 if half is not None else 2)
+                for *_, parts in layout for _, half, c, _, _ in parts)
+    if n_rows * width > MAX_ENTRIES:
+        raise ConfigurationError(
+            f"jet order {N} gives a {n_rows} x {width} system, above {MAX_ENTRIES} entries"
+        )
+    for degrees, cols, *_ in layout:
+        if len(degrees) * n_points < 4 * len(cols):
+            raise ConfigurationError(
+                f"the block of t-degrees {degrees} has {len(degrees) * n_points} rows "
+                f"for {2 * len(cols)} unknowns; need at least a 2x oversampling"
+            )
+
+    # Polynomial 0 is 0, then those of each pair in order, as assemble reads
+    # them; a value is a polynomial's times z2^k, coded key (N + 1) + k.
+    key_of = {key: i for i, key in enumerate(
+        ((pair, d) for pair in pairs for d in supports[pair]), 1)}
+    strips = []  # per part: row group, column, value code, turned, entry
+    packed, start = [], 0
+    for degrees, cols, first, last, parts in layout:
+        comp, j, k = np.array([columns[i] for i in cols]).T
+        # Each column's key at each degree, 0 where it has no term.
+        keys = np.array([[key_of.get((columns[i][:2], d), 0) for d in degrees] for i in cols])
+        for f, half, c, angles, kept in parts:
+            # Over (degree, angle, column, entry): entry e of a value is Re
+            # (e = 0, coefficient 1) or -Im (e = 1, coefficient i).  At pi /
+            # (2f), or at the angle (half + d) mod 2 of a half, a graded value
+            # is turned by i^(sign f).
+            key = keys[c][:, kept].T[:, None, :, None]
+            g = (start // n_z + np.arange(len(kept) * angles).reshape(-1, angles))[..., None, None]
+            if half is None:  # unknown 2c + e
+                e = np.arange(2)
+                col = 2 * np.arange(len(c))[:, None] + e
+                turned = np.arange(angles)[:, None, None]
+            else:  # entry (half + w (comp + j)) mod 2, unknown c
+                e = ((half + w * (comp[c] + j[c])) % 2)[:, None]
+                col = np.arange(len(c))[:, None]
+                turned = ((half + np.array(degrees)[kept]) % 2)[:, None, None, None]
+            # A graded part writes its columns' values at d, and 0 (Re 0 and
+            # -Im 0 = -0.0) where a column has none: only -0.0 needs a strip.
+            code = key * (N + 1) + (key > 0) * k[c][:, None]
+            written = (key > 0) | (graded & (e == 1))
+            grid = np.broadcast_arrays(g, col, code, graded * turned, e, written)
+            strips.append([x[grid[-1]] for x in grid[:-1]])
+            if half is None:
+                unknowns = np.ravel([(2 * cols[i], 2 * cols[i] + 1) for i in c])
+            else:  # entry (half + w (comp + j)) mod 2 of each column
+                unknowns = 2 * np.array(cols)[c] + e[:, 0]
+            first_, last_ = (np.repeat(np.searchsorted(kept, x[c]), len(unknowns) // len(c))
+                             for x in (first, last))
+            block_rows = slice(start, start + len(kept) * n_z * angles)
+            packed.append(Block(tuple(np.array(degrees)[kept].tolist()), block_rows,
+                                *_read_only(unknowns, first_, last_), f))
+            start = block_rows.stop
+    rows, cols, code, turned, e = map(np.concatenate, zip(*strips))
+    codes, value = np.unique(code, return_inverse=True)
+    poly, power = divmod(codes, N + 1)
+    # A graded value turns by +i where its frequency (``_frequency``) is positive.
+    plus_i = (power - (np.array([0] + [pair[0] for pair, _ in key_of])[poly] == 2) > 0) & graded
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    src = 2 * (turned * len(codes) + value) + e
+    return (columns, pairs, tuple(packed), (n_rows, width)) + _read_only(
+        *(x.astype(np.int32) for x in (np.array([poly, power]), src, rows[starts], starts)),
+        plus_i, cols.astype(np.min_scalar_type(width)))
 
 
 def assemble(
@@ -279,7 +446,7 @@ def assemble(
     # packed system has at least (points) x (2 x 2 x monomials) entries, half
     # that where sigma can split the blocks, and a graded block has at least
     # a row per shell: check that before building anything that grows with N.
-    w = _sigma(model)
+    w = _sigma(model.family, model.m)
     graded = points is None and model.germ.radial and model.family != ONE_NONMINIMAL
     n_points = len(SOLVER_SHELLS) * (2 * N + 8) if points is None else len(points)
     per_column = 2 * len(SOLVER_SHELLS) if graded else n_points * (1 if w is not None else 2)
@@ -289,157 +456,44 @@ def assemble(
             f"jet order {N} gives a system of at least {least} entries, above {MAX_ENTRIES}"
         )
     points = solver_points(N) if points is None else points
-    if not np.all(np.isfinite(points)) or any(z == 0 for z in points):
-        raise ParameterError("z2 points must be finite and avoid the origin exactly")
-    _require_curved(model, points, 0.0)
     z = np.asarray(points)
+    if not np.all(np.isfinite(z)) or np.any(z == 0):
+        raise ParameterError("z2 points must be finite and avoid the origin exactly")
+    p = _germ_at(model.germ, points)
+    _require_curved(model, p, 0.0)
     r = np.max(np.abs(z))
     if graded:
         # Each shell's real point, which is its own conjugate.
         z = np.array(SOLVER_SHELLS, complex)
-        halves = 2 if w is not None and _conjugation_even(model, np.tile(z, 2)) else 1
+        p, pw = model.germ(z), model.germ.wirt(z)
+        halves = 2 if w is not None and _conjugation_even(
+            *(np.tile(x, 2) for x in (z, p, pw))) else 1
     else:
-        halves = 2 if w is not None and _conjugation_even(model, z) else 1
-        z = z[: len(z) // halves]
+        pw = model.germ.wirt(z)
+        halves = 2 if w is not None and _conjugation_even(z, p, pw) else 1
+        z, p, pw = (x[: len(z) // halves] for x in (z, p, pw))
 
-    monos = _monomials(N, include_origin=not vanish_at_origin)
-    columns: tuple[Column, ...] = tuple((comp, j, k) for comp in (1, 2) for (j, k) in monos)
-    pairs = {(comp, j) for comp, j, _ in columns}
-    # The supports alone, from the polynomials at no point.
-    supports = _column_polys(model, np.empty(0, complex), pairs)
-    layout = []  # per block: degrees, columns, first, last, parts
-    for degrees, cols in _weight_blocks(supports, columns):
-        pos = {d: p for p, d in enumerate(degrees)}
-        # Where each column first and last appears, and the columns in
-        # (last, first) order; sorted() is stable, so a one-degree block
-        # keeps the column order.
-        span = {pair: (pos[max(supports[pair])], pos[min(supports[pair])])
-                for pair in {columns[i][:2] for i in cols}}
-        cols = sorted(cols, key=lambda i: span[columns[i][:2]])
-        last, first = np.array([span[columns[i][:2]] for i in cols]).T
-        # The block's parts: (frequency, sigma half or None for both entries,
-        # positions of its columns, angles per degree, positions of the
-        # degrees where one of those columns is in play: its other rows are 0).
-        if graded:
-            freq = np.array([abs(_frequency(columns[i])) for i in cols])
-            groups = [(f, np.flatnonzero(freq == f)) for f in np.unique(freq).tolist()]
-        else:
-            groups = [(None, np.arange(len(cols)))]
-        parts = []
-        for f, c in groups:
-            # +1 where a column's span starts, -1 one past where it ends.
-            edges = np.zeros(len(degrees) + 1, int)
-            np.add.at(edges, first[c], 1)
-            np.add.at(edges, last[c] + 1, -1)
-            kept = np.flatnonzero(np.cumsum(edges)[:-1])
-            if halves == 2 and f != 0:
-                parts += [(f, half, c, 1, kept) for half in (0, 1)]
-            else:  # both entries, and both angles for a graded f >= 1
-                parts.append((f, None, c, 2 if f else 1, kept))
-        layout.append((degrees, cols, first, last, parts))
-    n_rows = len(z) * sum(len(kept) * angles for *_, parts in layout for *_, angles, kept in parts)
-    width = max(len(c) * (1 if half is not None else 2)
-                for *_, parts in layout for _, half, c, _, _ in parts)
-    if n_rows * width > MAX_ENTRIES:
-        raise ConfigurationError(
-            f"jet order {N} gives a {n_rows} x {width} system, above {MAX_ENTRIES} entries"
-        )
-    for degrees, cols, *_ in layout:
-        if len(degrees) * n_points < 4 * len(cols):
-            raise ConfigurationError(
-                f"the block of t-degrees {degrees} has {len(degrees) * n_points} rows "
-                f"for {2 * len(cols)} unknowns; need at least a 2x oversampling"
-            )
-
-    polys = _column_polys(model, z, pairs)
-    zk = np.array([(z / r) ** k for k in range(N + 1)])
-    mat = np.zeros((n_rows, width))
-    packed, start = [], 0
-    for degrees, cols, first, last, parts in layout:
-        pos = {d: p for p, d in enumerate(degrees)}
-        h = len(degrees) * len(z)  # rows per half
-        if graded:
-            # The complex values b, (degree, point, column): entry e of a
-            # column is Re(b) (e = 0, coefficient 1) or -Im(b) (e = 1,
-            # coefficient i).  At pi / (2f) a column's value is b i^(sign f).
-            values = np.zeros((len(degrees), len(z), len(cols)), complex)
-            turn = np.where([_frequency(columns[i]) > 0 for i in cols], 1j, -1j)
-        at: dict = {}  # (comp, j) -> [(position in the block, k)]
-        for c, i in enumerate(cols):
-            at.setdefault(columns[i][:2], []).append((c, columns[i][2]))
-        for pair, ck in at.items():
-            c, k = np.array(ck).T
-            for d, v in polys[pair].items():
-                b = (v * zk[k]).T
-                if graded:
-                    values[pos[d]][:, c] = b
-                    continue
-                top = start + pos[d] * len(z)
-                for e, part in enumerate((b.real, -b.imag)):  # coefficient 1, coefficient i
-                    if halves == 2:  # unknown c of half (e + w (comp + j)) mod 2
-                        row = top + (e + w * sum(pair)) % 2 * h
-                        mat[row : row + len(z), c] = part
-                    else:  # unknown 2c + e
-                        mat[top : top + len(z), 2 * c + e] = part
-        for f, half, c, angles, kept in parts:
-            height = len(kept) * len(z) * angles
-            if half is None:
-                unknowns = np.ravel([(2 * cols[i], 2 * cols[i] + 1) for i in c])
-            else:  # entry (half + w (comp + j)) mod 2 of each column
-                unknowns = 2 * np.array(cols)[c] + (half + w * np.array(
-                    [sum(columns[cols[i]][:2]) for i in c])) % 2
-            if graded:
-                b = values[:, :, c][kept]
-                if half is None:
-                    if angles == 2:
-                        b = np.concatenate((b, b * turn[c]), axis=1)
-                    rows = np.stack((b.real, -b.imag), axis=-1)
-                else:  # the angle (half + d) mod 2 at degree d
-                    odd = (half + np.array(degrees)[kept]) % 2 == 1
-                    b = np.where(odd[:, None, None], b * turn[c], b)
-                    rows = np.where(unknowns % 2 == 0, b.real, -b.imag)
-                mat[start : start + height, : len(unknowns)] = rows.reshape(height, -1)
-            first_, last_ = (np.repeat(np.searchsorted(kept, x[c]), len(unknowns) // len(c))
-                             for x in (first, last))
-            block = Block(tuple(np.array(degrees)[kept].tolist()), slice(start, start + height),
-                          unknowns, first_, last_, f)
-            _normalize_rows(mat[block.rows, : len(unknowns)], block)
-            packed.append(block)
-            start += height
-    return TangencySystem(
-        matrix=mat, columns=columns, model=model, points=points, blocks=tuple(packed)
-    )
-
-
-def _normalize_rows(A: np.ndarray, block: Block) -> None:
-    """Divide each row of A, the rows of a block, by its max |entry|.  Off
-    the unknowns in play at the row's degree the entries are 0, so the max
-    is taken over those only, degree by degree; a graded block has too few
-    rows per degree for that loop to pay, and takes it over whole rows."""
-    n_deg = len(block.degrees)
-    h = len(A) // n_deg
-    if block.frequency is not None:
-        spans = [(0, len(A), 0, A.shape[1])]
-    else:
-        # In (last, first) order, the unknowns in play at degree p lie in
-        # [lo[p], hi[p]): lo[p] is the first whose last degree is p or
-        # later, hi[p] one past the last whose first degree is p or earlier.
-        lo = np.searchsorted(block.last, np.arange(n_deg)).tolist()
-        hi = np.zeros(n_deg, int)
-        np.maximum.at(hi, block.first, np.arange(1, len(block.first) + 1))
-        spans = [(p * h, (p + 1) * h, lo[p], top)
-                 for p, top in enumerate(np.maximum.accumulate(hi).tolist())]
-    for r0, r1, c0, c1 in spans:
-        rows = A[r0:r1, c0:c1]
-        weights = np.abs(rows).max(axis=1)
-        weights[weights == 0.0] = 1.0
-        rows /= weights[:, None]
-
-
-def field_from_vector(x: np.ndarray, columns) -> VectorFieldPoly:
-    """Field whose coefficient of monomial ``columns[i]`` is x[2i] + i x[2i+1]."""
-    # + 0.0 turns a -0.0 part into 0.0, so reports never print "-0.0".
-    return _fields_from_rows((np.asarray(x, dtype=float)[None] + 0.0).view(complex), columns)[0]
+    columns, pairs, blocks, shape, terms, src, groups, starts, plus_i, cols = _layout(
+        model.family, model.m, N, vanish_at_origin, graded, halves, len(z), n_points)
+    polys = _column_polys(_surface_polys(model.family, model.m, p, pw), pairs)
+    values = np.array([np.zeros_like(z), *(v for pair in pairs for v in polys[pair].values())])
+    x = values[terms[0]]
+    x *= np.array([(z / r) ** k for k in range(N + 1)])[terms[1]]
+    if graded:  # and the values turned by i^(sign f)
+        x = np.concatenate((x, x * np.where(plus_i, 1j, -1j)[:, None]))
+    # Entry e of a value: Re (e = 0, coefficient 1) or -Im (e = 1, coefficient i).
+    e = src & 1
+    strips = x.view(float).reshape(len(x), len(z), 2)[src >> 1, :, e]
+    del x
+    np.negative(strips, out=strips, where=e[:, None] == 1)
+    # Each row divided by its max |entry|: the entries off its strips are 0.
+    weights = np.maximum.reduceat(np.abs(strips), starts)
+    weights[weights == 0.0] = 1.0
+    counts = np.diff(starts, append=len(strips))
+    strips /= np.repeat(weights, counts, axis=0)
+    mat = np.zeros(shape)
+    mat.reshape(-1, len(z), shape[1]).transpose(0, 2, 1)[np.repeat(groups, counts), cols] = strips
+    return TangencySystem(matrix=mat, columns=columns, model=model, points=points, blocks=blocks)
 
 
 def _fields_from_rows(C: np.ndarray, columns) -> list:
@@ -451,41 +505,26 @@ def _fields_from_rows(C: np.ndarray, columns) -> list:
     ]
 
 
-def vector_from_field(f: VectorFieldPoly, columns) -> np.ndarray | None:
-    """Coefficient vector of f over the monomial ``columns`` (re, im of
-    monomial i at entries 2i, 2i+1), or None if f uses a monomial outside
-    the columns."""
-    idx = {key: i for i, key in enumerate(columns)}
-    x = np.zeros(2 * len(columns))
-    for comp, coeffs in ((1, f.coeffs1), (2, f.coeffs2)):
-        for (j, k), v in coeffs.items():
-            if v == 0:
-                continue
-            i = idx.get((comp, j, k))
-            if i is None:
-                return None
-            x[2 * i] = v.real
-            x[2 * i + 1] = v.imag
-    return x
-
-
 def validation_residual(model: ModelSpec, f: VectorFieldPoly) -> float:
     """Max |t-coefficient| of f's tangency residual at the validation z2 points."""
     terms = [((comp, *key), v) for comp, c in enumerate((f.coeffs1, f.coeffs2), 1)
              for key, v in c.items()]
     C = np.array([[v for _, v in terms]], complex)
-    return float(_validation_residuals(model, C, [column for column, _ in terms])[0])
+    p, pw = model.germ(VALIDATION_POINTS), model.germ.wirt(VALIDATION_POINTS)
+    return float(_validation_residuals(model, C, [column for column, _ in terms], p, pw)[0])
 
 
-def _validation_residuals(model: ModelSpec, C: np.ndarray, columns) -> np.ndarray:
-    """validation_residual of each row's field (``_fields_from_rows``) at once.
+def _validation_residuals(model: ModelSpec, C: np.ndarray, columns, p, pw) -> np.ndarray:
+    """validation_residual of each row's field (``_fields_from_rows``) at once,
+    for P and dP/dz at the validation points, p and pw.
 
     Terms are added per t-degree in sorted (component, j, k) order, so a
     field's bits do not depend on the zero columns stacked beside it."""
     # A column that no row uses adds exactly 0 to every term: skip it.
     used = sorted(np.flatnonzero(C.any(axis=0)), key=columns.__getitem__)
     z = VALIDATION_POINTS
-    polys = _column_polys(model, z, {columns[i][:2] for i in used})
+    polys = _column_polys(_surface_polys(model.family, model.m, p, pw),
+                          {columns[i][:2] for i in used})
     zk = {k: z**k for k in {columns[i][2] for i in used}}
     totals: dict = {}
     for i in used:
@@ -513,37 +552,32 @@ def _r_factor(A: np.ndarray, block: Block) -> np.ndarray:
     passed are final, and R shrinks to the others.  The unknowns come in
     (last, first) order, so the final rows are R's leading ones.  A
     one-degree block is a QR of its first 4n rows, then of R stacked on 3n
-    rows at a time."""
+    rows at a time.  The steps are planned once per block (``_staircase``);
+    each QR is dgeqrf on the stack (``mode="raw"``), R its upper triangle."""
     n = A.shape[1]
-    n_deg = len(block.degrees)
-    h = len(A) // n_deg  # rows per degree
     out = np.zeros((n, n))
-    R, play, done, p = np.zeros((0, 0)), np.arange(0), 0, 0
-    while p < n_deg:
-        # Unknowns before ``done`` have their last degree behind them.
-        q = p
-        while block.frequency is not None and q + 1 < n_deg and (
-                (q + 2 - p) * h + len(R) <= 4 * np.count_nonzero(block.first[done:] <= q + 1)):
-            q += 1
-        now = done + np.flatnonzero(block.first[done:] <= q)
-        grown = np.zeros((len(R), len(now)))
-        grown[:, np.searchsorted(now, play)] = R
-        R, rows = grown, A[p * h : (q + 1) * h, now]
-        i = 0
-        while i < len(rows):
-            chunk = 4 * len(now) - len(R)
-            R = np.linalg.qr(np.vstack((R, rows[i : i + chunk])), mode="r")
-            i += chunk
-        k = np.count_nonzero(block.last[now] <= q)  # now[:k] = done, ..., done + k - 1
+    lower = np.tri(n, n, -1, bool)
+    R = out[:0, :0]
+    for now, size, at, bounds, done, k in block._staircase:
+        for i, end in zip(bounds, bounds[1:]):
+            rows = A[i:end, now]
+            stack = np.zeros((len(R) + len(rows), size))
+            stack[: len(R), at] = R
+            stack[len(R) :] = rows
+            at = slice(None)  # R is on all of now from here
+            R = np.linalg.qr(stack, mode="raw")[0].T[: min(stack.shape)]
+            R[lower[: len(R), :size]] = 0.0
         out[done : done + min(k, len(R)), now] = R[:k]
-        R, play, done, p = R[k:, k:], now[k:], done + k, q + 1
+        R = R[k:, k:]
     return out
 
 
-def _echelon_columns(columns) -> list:
+@functools.lru_cache(maxsize=_LAYOUTS)
+def _echelon_columns(columns: tuple) -> np.ndarray:
     """The column indices in echelon order: total degree, then component,
-    then j descending."""
-    return sorted(range(len(columns)), key=[(j + k, comp, -j) for comp, j, k in columns].__getitem__)
+    then j descending (read-only)."""
+    key = [(j + k, comp, -j) for comp, j, k in columns]
+    return _read_only(np.array(sorted(range(len(columns)), key=key.__getitem__), np.intp))[0]
 
 
 def _rref(R: np.ndarray, tol: float) -> list:
@@ -586,7 +620,8 @@ def nullspace(system: TangencySystem, tau: float = 1e-8) -> AutBasis:
     floor = max(system.n_samples, system.n_unknowns) * np.finfo(float).eps
     if not (floor <= tau < 1):
         raise ParameterError(f"tau must be in [{floor:.3g}, 1) for this system")
-    _require_curved(system.model, system.points, tau)
+    germ = system.model.germ
+    _require_curved(system.model, _germ_at(germ, system.points), tau)
     factors = []
     for block in system.blocks:
         A = system.matrix[block.rows, : len(block.unknowns)]
@@ -616,7 +651,7 @@ def nullspace(system: TangencySystem, tau: float = 1e-8) -> AutBasis:
     # no unknown), and merged in the order of their pivots.
     noise = max(floor * s[0], s_below.max(initial=0.0)) / s_above.min() if len(s_above) else floor
     position = np.empty(system.n_unknowns, int)  # of each unknown, in echelon order
-    position[(2 * np.array(_echelon_columns(system.columns))[:, None] + [0, 1]).ravel()] = (
+    position[(2 * _echelon_columns(system.columns)[:, None] + [0, 1]).ravel()] = (
         np.arange(system.n_unknowns))
     starts = np.cumsum([0] + [len(sb) for sb, _ in factors])
     null = order[null_mask]
@@ -632,14 +667,16 @@ def nullspace(system: TangencySystem, tau: float = 1e-8) -> AutBasis:
     rank = np.argsort(position[pivots])
     V, pivots = V[rank], pivots[rank]
     scale = system.scale
-    C = (V * scale / scale[pivots][:, None] + 0.0).view(complex)  # as in field_from_vector
-    resids = _validation_residuals(system.model, C, system.columns)
+    # + 0.0 turns a -0.0 part into 0.0, so reports never print "-0.0".
+    C = (V * scale / scale[pivots][:, None] + 0.0).view(complex)
+    z = VALIDATION_POINTS
+    p, pw = germ(z), germ.wirt(z)
+    resids = _validation_residuals(system.model, C, system.columns, p, pw)
     # |C| row maxima are the basis fields' max_coefficient().  A field tangent
     # only to a Levi-flat model leaves a residual of the order of P where P
     # is small, and of the order of P's variation (z dP/dz) where P is
     # nearly constant, so the bound scales with both.
-    germ, z = system.model.germ, VALIDATION_POINTS
-    level = min(1.0, np.max(np.abs(germ(z))), np.max(np.abs(z * germ.wirt(z))))
+    level = min(1.0, np.max(np.abs(p)), np.max(np.abs(z * pw)))
     bound = np.maximum(np.abs(C).max(axis=1, initial=0.0), np.finfo(float).tiny)
     certified = resids <= CERT_TOL * level * bound
     at_roundoff = s_below.max(initial=0.0) <= floor * s[0]

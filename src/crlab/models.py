@@ -107,13 +107,15 @@ def surface_polys(model: ModelSpec, z2):
     the residual Re[g1 h1 + g2 h2] of a polynomial field is a polynomial in t
     whose coefficients are the real parts of those of g1 h1 + g2 h2."""
     z2 = np.asarray(z2, dtype=complex)
-    p = model.germ(z2)
-    pw = model.germ.wirt(z2)
-    one = np.ones_like(z2)
-    if model.family == ONE_NONMINIMAL:  # z1 = t (i - P)
+    return _surface_polys(model.family, model.m, model.germ(z2), model.germ.wirt(z2))
+
+
+def _surface_polys(family: str, m: int, p, pw):
+    """``surface_polys`` from P and dP/dz at the points."""
+    one = np.ones(np.shape(p), complex)
+    if family == ONE_NONMINIMAL:  # z1 = t (i - P)
         return {1: 1j - p}, {0: 0.5 + p / 2j}, {1: pw}
-    if model.family == M_NONMINIMAL:  # z1 = t + i t^m P
-        m = model.m
+    if family == M_NONMINIMAL:  # z1 = t + i t^m P
         return {1: one, m: 1j * p}, {0: one / 2j, m - 1: -m * p / 2.0}, {m: -pw}
     return {0: -p + 0j, 1: 1j * one}, {0: 0.5 * one}, {0: pw}  # z1 = -P + i t
 

@@ -26,15 +26,15 @@ from crlab.autsolve import (
     SOLVER_SHELLS,
     VALIDATION_POINTS,
     _column_polys,
+    _layout,
     _monomials,
     _r_factor,
     _weight_blocks,
-    field_from_vector,
     shell_points,
     solver_points,
-    vector_from_field,
 )
 from crlab.models import surface_polys
+from vectors import field_from_vector, vector_from_field
 
 EPS = np.finfo(float).eps
 
@@ -93,7 +93,8 @@ def frequency(column):
 
 def by_class(system):
     """The system's blocks, grouped by the t-degree class of their columns."""
-    polys = _column_polys(system.model, np.empty(0, complex), {c[:2] for c in system.columns})
+    supports = surface_polys(system.model, np.empty(0, complex))
+    polys = _column_polys(supports, {c[:2] for c in system.columns})
     classes = _weight_blocks(polys, system.columns)
     owner = {i: n for n, (_, cols) in enumerate(classes) for i in cols}
     grouped = [[] for _ in classes]
@@ -182,7 +183,8 @@ def test_blocks_join_pairs_as_the_per_column_rule_joins_columns(family, m):
     for N in range(1, 17):
         for origin in (False, True):
             columns = [(comp, j, k) for comp in (1, 2) for j, k in _monomials(N, origin)]
-            polys = _column_polys(model, np.empty(0, complex), {c[:2] for c in columns})
+            supports = surface_polys(model, np.empty(0, complex))
+            polys = _column_polys(supports, {c[:2] for c in columns})
             assert _weight_blocks(polys, columns) == per_column_blocks(polys, columns)
 
 
@@ -369,7 +371,8 @@ def test_nothing_splits_without_sigma(family, m, germ):
     for N in (2, 5, 12):
         system = assemble(model, N, points=solver_points(N))
         columns = [(c, j, k) for c in (1, 2) for j, k in _monomials(N, False)]
-        polys = _column_polys(model, np.empty(0, complex), {c[:2] for c in columns})
+        supports = surface_polys(model, np.empty(0, complex))
+        polys = _column_polys(supports, {c[:2] for c in columns})
         assert len(system.blocks) == len(_weight_blocks(polys, columns))
         for b in system.blocks:
             assert np.array_equal(b.unknowns[1::2], b.unknowns[::2] + 1)
@@ -612,6 +615,129 @@ def test_one_degree_blocks_keep_the_chunked_r_bits(germ, points):
             A = system.matrix[b.rows, : len(b.unknowns)]
             assert len(b.degrees) == 1
             assert np.array_equal(_r_factor(A, b), chunked_r(A))
+
+
+def staircase_r(A, block):
+    """R as _r_factor computed it before its steps were planned once per
+    block: the same staircase, with its bookkeeping done on every call."""
+    n = A.shape[1]
+    n_deg = len(block.degrees)
+    h = len(A) // n_deg  # rows per degree
+    out = np.zeros((n, n))
+    R, play, done, p = np.zeros((0, 0)), np.arange(0), 0, 0
+    while p < n_deg:
+        q = p
+        while block.frequency is not None and q + 1 < n_deg and (
+                (q + 2 - p) * h + len(R) <= 4 * np.count_nonzero(block.first[done:] <= q + 1)):
+            q += 1
+        now = done + np.flatnonzero(block.first[done:] <= q)
+        grown = np.zeros((len(R), len(now)))
+        grown[:, np.searchsorted(now, play)] = R
+        R, rows = grown, A[p * h : (q + 1) * h, now]
+        i = 0
+        while i < len(rows):
+            chunk = 4 * len(now) - len(R)
+            R = np.linalg.qr(np.vstack((R, rows[i : i + chunk])), mode="r")
+            i += chunk
+        k = np.count_nonzero(block.last[now] <= q)
+        out[done : done + min(k, len(R)), now] = R[:k]
+        R, play, done, p = R[k:, k:], now[k:], done + k, q + 1
+    return out
+
+
+@pytest.mark.parametrize("family, m", FAMILIES)
+@pytest.mark.parametrize("N", range(2, 17))
+def test_planned_staircase_keeps_the_staircase_r_bits(family, m, N):
+    # Both layouts: the solver's points passed explicitly (sigma halves
+    # where they apply) and the default (graded but for one-nonminimal).
+    model = ModelSpec(family, get_germ("p1"), m=m)
+    for system in (assemble(model, N=N, points=solver_points(N)), assemble(model, N=N)):
+        for b in system.blocks:
+            A = system.matrix[b.rows, : len(b.unknowns)]
+            assert np.array_equal(_r_factor(A, b), staircase_r(A, b))
+
+
+# The settings of the byte-identity checks: every family, each catalog germ
+# that reaches it, at m = 2, 3 and 4 for m-nonminimal; N = 1...12 and 16,
+# both origin rules, default and explicit points.
+LAYOUT_GERMS = {ONE_NONMINIMAL: ("p1", "p2", "p3", "counterexample"),
+                RIGID: ("p1", "p2", "p3", "control"), M_NONMINIMAL: ("p1", "p2", "p3", "control")}
+
+
+def assert_same_system(a, b):
+    assert a.matrix.shape == b.matrix.shape and a.matrix.tobytes() == b.matrix.tobytes()
+    assert a.columns == b.columns and a.points == b.points
+    assert len(a.blocks) == len(b.blocks)
+    for x, y in zip(a.blocks, b.blocks):
+        assert (x.degrees, x.rows, x.frequency) == (y.degrees, y.rows, y.frequency)
+        for name in ("unknowns", "first", "last"):
+            assert np.array_equal(getattr(x, name), getattr(y, name))
+
+
+@pytest.mark.parametrize("family, m", [(ONE_NONMINIMAL, 1), (RIGID, 1)]
+                         + [(M_NONMINIMAL, m) for m in (2, 3, 4)])
+def test_a_cached_layout_gives_the_cold_system(family, m):
+    # The layout holds no germ value: a system assembled on a layout that
+    # another germ built is the one that a cleared cache builds.  Each germ
+    # is built after the others once (the second order), so every germ that
+    # shares its structure is built warm.
+    models = [ModelSpec(family, get_germ(g), m=m) for g in LAYOUT_GERMS[family]]
+    for N in list(range(1, 13)) + [16]:
+        for vanish in (True, False):
+            for points in (None, solver_points(N)):
+                cold = {}
+                for model in models:
+                    _layout.cache_clear()
+                    try:
+                        cold[model] = assemble(model, N, points=points, vanish_at_origin=vanish)
+                    except ConfigurationError:  # a block without 2x oversampling at N = 1
+                        assert N == 1
+                warm = set()
+                for order in (models, models[::-1]):
+                    _layout.cache_clear()
+                    for model in (model for model in order if model in cold):
+                        hits = _layout.cache_info().hits
+                        system = assemble(model, N, points=points, vanish_at_origin=vanish)
+                        assert_same_system(system, cold[model])
+                        if _layout.cache_info().hits > hits:
+                            warm.add(model)
+                assert len(cold) < 2 or warm == set(cold)
+
+
+def test_cached_block_arrays_are_read_only():
+    # A graded system and a sigma one.
+    for model in (ModelSpec(RIGID, get_germ("control")), ModelSpec(RIGID, get_germ("p2"))):
+        for b in assemble(model, 8).blocks:
+            for array in (b.unknowns, b.first, b.last):
+                with pytest.raises(ValueError):
+                    array[0] = 1
+                with pytest.raises(ValueError):
+                    array += 1
+
+
+def test_structures_that_differ_get_their_own_layout():
+    N = 6
+    rigid = {g: ModelSpec(RIGID, get_germ(g)) for g in ("p1", "p2", "p3", "counterexample")}
+    graded, halves = assemble(rigid["p1"], N), assemble(rigid["p2"], N)
+    assert graded.graded and not halves.graded
+    assert graded.blocks is not halves.blocks
+    # p1's explicit points give the sigma halves, as p2's do.
+    explicit = assemble(rigid["p1"], N, points=solver_points(N))
+    assert not explicit.graded and explicit.blocks is not graded.blocks
+    assert explicit.blocks is halves.blocks
+    # The counterexample germ is not conjugation-even: no sigma halves.
+    whole = assemble(rigid["counterexample"], N)
+    assert len(whole.blocks) < len(halves.blocks) and whole.blocks is not halves.blocks
+    assert assemble(rigid["p3"], N).blocks is halves.blocks
+
+
+def test_a_refused_structure_is_refused_on_every_call():
+    model = ModelSpec(M_NONMINIMAL, get_germ("p2"), m=2)
+    size = _layout.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(ConfigurationError, match="14280 x 648 system"):
+            assemble(model, 24)
+    assert _layout.cache_info().currsize == size
 
 
 def echelon_key(column):

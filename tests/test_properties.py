@@ -34,11 +34,10 @@ from crlab.autsolve import (  # noqa: E402
     VALIDATION_POINTS,
     _column_polys,
     _validation_residuals,
-    field_from_vector,
-    vector_from_field,
 )
 from crlab.fields import eval_rows  # noqa: E402
-from crlab.models import FAMILIES, surface_frame  # noqa: E402
+from crlab.models import FAMILIES, surface_frame, surface_polys  # noqa: E402
+from vectors import field_from_vector, vector_from_field  # noqa: E402
 
 # Derandomized, so every run draws the same examples.
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=20)
@@ -162,7 +161,8 @@ def test_stacked_residuals_equal_per_field_residuals_bit_for_bit(family, data):
     for comp in (1, 2):
         keys = sorted((j, k) for c, j, k in columns if c == comp)
         stacks.append(eval_rows(keys, C[:, [columns.index((comp, *key)) for key in keys]], z1, z2))
-    sups = _validation_residuals(model, C, columns)
+    z = VALIDATION_POINTS
+    sups = _validation_residuals(model, C, columns, model.germ(z), model.germ.wirt(z))
     for r, x in enumerate(X):
         f = field_from_vector(x, columns)
         assert sups[r].tobytes() == np.float64(validation_residual(model, f)).tobytes()
@@ -206,7 +206,7 @@ def test_t_coefficients_sum_to_the_sampled_residual(family, data):
     model = data.draw(models(family))
     f = data.draw(fields_on(COLUMNS[1], bounded))
     z = VALIDATION_POINTS
-    polys = _column_polys(model, z, {(comp, j) for comp, j, _ in COLUMNS[1]})
+    polys = _column_polys(surface_polys(model, z), {(comp, j) for comp, j, _ in COLUMNS[1]})
     total = np.zeros(len(T))
     for comp, coeffs in ((1, f.coeffs1), (2, f.coeffs2)):
         for (j, k), c in coeffs.items():
