@@ -6,8 +6,10 @@ and it is linear over R in the real and imaginary parts of the field
 coefficients.  One row per (t-degree, z2 point) gives a rectangular matrix
 whose numerical null space is the space of infinitesimal CR automorphisms at
 the chosen jet order.  Columns that share no t-degree share no row, so the
-matrix is block diagonal, and each block is factored on its own, one t-degree
-at a time: an unknown whose last degree is passed leaves the factorization.
+matrix is block diagonal, and each block is factored on its own.  A block of
+several t-degrees that is not graded (below) is factored one degree at a
+time: an unknown whose last degree is passed leaves the factorization.  Every
+other block takes one SVD.
 Where an antiholomorphic involution fixes the model, each block splits again
 into its even and odd halves, with rows at one point of each conjugate pair.
 A radial germ (P depends on |z2| only) makes the rigid and m-nonminimal
@@ -75,7 +77,9 @@ class Block:
     block split by its conjugation (see ``_sigma``) is two of these, the
     sigma-even and the sigma-odd unknowns, each with rows at the first half
     of the points only.  A block of a graded system holds the columns of
-    one rotation frequency |f|, ``frequency``; it is None elsewhere."""
+    one rotation frequency |f|, ``frequency``; it is None elsewhere.
+    ``nullspace`` factors an ungraded block of more than one degree along
+    its staircase (``_r_factor``), and every other block by one SVD."""
 
     degrees: tuple
     rows: slice
@@ -83,36 +87,6 @@ class Block:
     first: np.ndarray
     last: np.ndarray
     frequency: int | None
-
-    @functools.cached_property
-    def _staircase(self) -> tuple:
-        """``_r_factor``'s steps, planned once from the structure: the unknowns
-        in play (a slice if a run), their count, where R goes among them, the
-        bounds of the row chunks stacked under R, ``done`` and the k set aside."""
-        n_deg = len(self.degrees)
-        h = (self.rows.stop - self.rows.start) // n_deg  # rows per degree
-        steps, n_r, play, done, p = [], 0, np.arange(0), 0, 0
-        while p < n_deg:
-            q = p
-            while self.frequency is not None and q + 1 < n_deg and (
-                    (q + 2 - p) * h + n_r <= 4 * np.count_nonzero(self.first[done:] <= q + 1)):
-                q += 1
-            now = done + np.flatnonzero(self.first[done:] <= q)
-            bounds = [p * h]
-            while bounds[-1] < (q + 1) * h:
-                bounds.append(min(bounds[-1] + 4 * len(now) - n_r, (q + 1) * h))
-                n_r = min(n_r + bounds[-1] - bounds[-2], len(now))
-            k = int(np.count_nonzero(self.last[now] <= q))  # now[:k] = done, ..., done + k - 1
-            at = _slice(np.searchsorted(now, play))  # where R's columns go in now
-            steps.append((_slice(now), len(now), at, tuple(bounds), done, k))
-            n_r, play, done, p = max(n_r - k, 0), now[k:], done + k, q + 1
-        return tuple(steps)
-
-
-def _slice(index: np.ndarray):
-    """index as a slice where it is a run of consecutive integers."""
-    run = len(index) and index[-1] - index[0] == len(index) - 1
-    return slice(int(index[0]), int(index[-1]) + 1) if run else _read_only(index)[0]
 
 
 @dataclass(frozen=True)
@@ -543,32 +517,32 @@ def _validation_residuals(model: ModelSpec, C: np.ndarray, columns, p, pw) -> np
 def _r_factor(A: np.ndarray, block: Block) -> np.ndarray:
     """The n x n R of A = QR, for the rows A of a block with n unknowns.
 
-    The block's degrees are taken in order.  Each step stacks the R so far,
-    on the unknowns in play (first <= degree <= last), on one degree's rows,
-    in chunks of at most 4 x (unknowns in play) rows.  A graded block has
-    only a few rows per degree, so there a step takes as many whole degrees
-    as fit in one such chunk: a QR per degree would be all call overhead.
-    When a step is done, the R rows of the unknowns whose last degree it
-    passed are final, and R shrinks to the others.  The unknowns come in
-    (last, first) order, so the final rows are R's leading ones.  A
-    one-degree block is a QR of its first 4n rows, then of R stacked on 3n
-    rows at a time.  The steps are planned once per block (``_staircase``);
-    each QR is dgeqrf on the stack (``mode="raw"``), R its upper triangle."""
+    The block's degrees are taken in order.  Each stacks the R so far, on
+    the unknowns in play (first <= degree <= last), on the degree's rows,
+    in chunks of at most 4 x (unknowns in play) rows.  When a degree is
+    done, the R rows of the unknowns whose last degree it is are final, and
+    R shrinks to the others.  The unknowns come in (last, first) order, so
+    the final rows are R's leading ones.  ``nullspace`` calls this for the
+    ungraded blocks of more than one degree only: there it costs less than
+    one SVD of A."""
     n = A.shape[1]
+    h = len(A) // len(block.degrees)  # rows per degree
     out = np.zeros((n, n))
-    lower = np.tri(n, n, -1, bool)
-    R = out[:0, :0]
-    for now, size, at, bounds, done, k in block._staircase:
-        for i, end in zip(bounds, bounds[1:]):
-            rows = A[i:end, now]
-            stack = np.zeros((len(R) + len(rows), size))
-            stack[: len(R), at] = R
-            stack[len(R) :] = rows
-            at = slice(None)  # R is on all of now from here
-            R = np.linalg.qr(stack, mode="raw")[0].T[: min(stack.shape)]
-            R[lower[: len(R), :size]] = 0.0
+    R, play, done = np.zeros((0, 0)), np.arange(0), 0
+    for d in range(len(block.degrees)):
+        # Unknowns before ``done`` have their last degree behind them.
+        now = done + np.flatnonzero(block.first[done:] <= d)
+        grown = np.zeros((len(R), len(now)))
+        grown[:, np.searchsorted(now, play)] = R
+        R, rows = grown, A[d * h : (d + 1) * h, now]
+        i = 0
+        while i < len(rows):
+            chunk = 4 * len(now) - len(R)
+            R = np.linalg.qr(np.vstack((R, rows[i : i + chunk])), mode="r")
+            i += chunk
+        k = np.count_nonzero(block.last[now] <= d)  # now[:k] = done, ..., done + k - 1
         out[done : done + min(k, len(R)), now] = R[:k]
-        R = R[k:, k:]
+        R, play, done = R[k:, k:], now[k:], done + k
     return out
 
 
@@ -628,8 +602,10 @@ def nullspace(system: TangencySystem, tau: float = 1e-8) -> AutBasis:
         if A.shape[0] < A.shape[1]:
             # The thin SVD would return fewer right singular vectors than unknowns.
             raise ConfigurationError("each block needs at least as many samples as unknowns")
-        # R's SVD gives the singular values and right vectors of A without forming U.
-        factors.append(np.linalg.svd(_r_factor(A, block), full_matrices=False)[1:])
+        if block.frequency is None and len(block.degrees) > 1:
+            # R's SVD gives the singular values and right vectors of A without forming U.
+            A = _r_factor(A, block)
+        factors.append(np.linalg.svd(A, full_matrices=False)[1:])
     s = np.concatenate([sb for sb, _ in factors])
     order = np.argsort(-s, kind="stable")
     s = s[order]

@@ -30,7 +30,6 @@ from crlab.autsolve import (
     _monomials,
     _r_factor,
     _weight_blocks,
-    shell_points,
     solver_points,
 )
 from crlab.models import surface_polys
@@ -545,19 +544,19 @@ def test_hyperquadric_algebra_dimensions(N, vanish, dim):
 @pytest.mark.parametrize(
     "germ, family, N",
     [("p1", ONE_NONMINIMAL, n) for n in range(5, 13)]
-    + [("control", RIGID, n) for n in range(2, 9)],
+    + [("control", RIGID, n) for n in range(2, 9)]
+    + [("p2", RIGID, n) for n in range(2, 9)],
 )
 def test_nullspace_matches_direct_thin_svd(germ, family, N):
-    # nullspace takes the SVD of each block's staircase R; it must give each
-    # block's thin SVD to roundoff, and the same null space.
+    # nullspace takes the SVD of each block, or of its staircase R where the
+    # block is on the staircase; it must give each block's thin SVD to
+    # roundoff, and the same null space.
     system = assemble(ModelSpec(family, get_germ(germ)), N=N)
     basis = nullspace(system)
     s_blocks, V = [], []
     for b in system.blocks:
         A = system.matrix[b.rows, : len(b.unknowns)]
         _, s, vt = np.linalg.svd(A, full_matrices=False)
-        if len(b.degrees) == 1 and len(A) <= 4 * A.shape[1]:  # one QR: the same bits
-            assert np.array_equal(np.linalg.svd(_r_factor(A, b), full_matrices=False)[1], s)
         s_blocks.append(s)
         full = np.zeros((len(s), system.n_unknowns))
         full[:, b.unknowns] = vt
@@ -566,11 +565,13 @@ def test_nullspace_matches_direct_thin_svd(germ, family, N):
     order = np.argsort(-s, kind="stable")
     floor = max(system.n_samples, system.n_unknowns) * EPS
     assert np.all(np.abs(basis.singular_values - s[order]) <= floor * s.max())
+    if not any(map(on_staircase, system.blocks)):  # one SVD per block: the same bits
+        assert np.array_equal(basis.singular_values, s[order])
     # The basis rows, back in the matrix's unknowns, span the direct null vectors.
     null = V[s <= 1e-8 * s.max()]
     Q = np.linalg.qr((basis.coefficients.view(float) / system.scale).T)[0]
     assert len(null) == basis.dimension
-    assert np.max(np.abs(null.T - Q @ (Q.T @ null.T))) <= 1e-10
+    assert np.max(np.abs(null.T - Q @ (Q.T @ null.T)), initial=0.0) <= 1e-10
 
 
 @pytest.mark.parametrize("family, m", FAMILIES)
@@ -578,83 +579,107 @@ def test_nullspace_matches_direct_thin_svd(germ, family, N):
 def test_staircase_r_matches_each_block_thin_svd(family, m, N):
     # The staircase stacks R on each degree's rows and sets aside the rows
     # of the unknowns that appear no more: R^T R is still A^T A.  The blocks
-    # of the sigma layout (the solver's points passed explicitly) and of the
-    # graded one (rigid and m-nonminimal at the default points).
-    model = ModelSpec(family, get_germ("control" if family == RIGID else "p1"), m=m)
-    for system in (assemble(model, N=N, points=solver_points(N)), assemble(model, N=N)):
+    # on the staircase: those of the sigma layout (the solver's points passed
+    # explicitly), and of a non-radial germ at the default points.
+    # One-nonminimal blocks have one degree, so none is on it.
+    germ = "control" if family == RIGID else "p1"
+    models = [ModelSpec(family, get_germ(g), m=m) for g in (germ, "p2")]
+    systems = [assemble(models[0], N=N, points=solver_points(N)), assemble(models[1], N=N)]
+    blocks = [(system, b) for system in systems for b in system.blocks if on_staircase(b)]
+    assert len(blocks) > 0 or family == ONE_NONMINIMAL
+    for system, b in blocks:
         floor = max(system.n_samples, system.n_unknowns) * EPS
-        for b in system.blocks:
-            A = system.matrix[b.rows, : len(b.unknowns)]
-            R = _r_factor(A, b)
-            assert np.array_equal(R, np.triu(R))
-            _, s, vt = np.linalg.svd(R, full_matrices=False)
-            _, s_dense, vt_dense = np.linalg.svd(A, full_matrices=False)
-            assert np.all(np.abs(s - s_dense) <= floor * s_dense[0])
-            null, null_dense = vt[s <= 1e-8 * s[0]], vt_dense[s_dense <= 1e-8 * s_dense[0]]
-            assert len(null) == len(null_dense)
-            assert np.max(np.abs(null_dense - null_dense @ null.T @ null), initial=0.0) <= 1e-10
-
-
-def chunked_r(A):
-    """R as it was factored before the staircase: a QR of the first 4n rows,
-    then of R stacked on the next 3n rows, until the rows run out."""
-    n = A.shape[1]
-    R = np.linalg.qr(A[: 4 * n], mode="r")
-    for i in range(4 * n, len(A), 3 * n):
-        R = np.linalg.qr(np.vstack((R, A[i : i + 3 * n])), mode="r")
-    return R
-
-
-@pytest.mark.parametrize("points", [None, shell_points((0.2, 0.3, 0.4, 0.5), 150, phase=0.3)])
-@pytest.mark.parametrize("germ", ["p1", "p3", "counterexample"])
-def test_one_degree_blocks_keep_the_chunked_r_bits(germ, points):
-    # The solver's points give one QR per block; 600 points give several.
-    for N in range(2, 17):
-        system = assemble(ModelSpec(ONE_NONMINIMAL, get_germ(germ)), N=N, points=points)
-        for b in system.blocks:
-            A = system.matrix[b.rows, : len(b.unknowns)]
-            assert len(b.degrees) == 1
-            assert np.array_equal(_r_factor(A, b), chunked_r(A))
+        A = system.matrix[b.rows, : len(b.unknowns)]
+        R = _r_factor(A, b)
+        assert np.array_equal(R, np.triu(R))
+        _, s, vt = np.linalg.svd(R, full_matrices=False)
+        _, s_dense, vt_dense = np.linalg.svd(A, full_matrices=False)
+        assert np.all(np.abs(s - s_dense) <= floor * s_dense[0])
+        null, null_dense = vt[s <= 1e-8 * s[0]], vt_dense[s_dense <= 1e-8 * s_dense[0]]
+        assert len(null) == len(null_dense)
+        assert np.max(np.abs(null_dense - null_dense @ null.T @ null), initial=0.0) <= 1e-10
 
 
 def staircase_r(A, block):
-    """R as _r_factor computed it before its steps were planned once per
-    block: the same staircase, with its bookkeeping done on every call."""
+    """R of a block on the staircase, as _r_factor must give it bit for bit:
+    one degree a step, R stacked on the degree's rows on the unknowns in
+    play, in chunks of at most 4 x (those unknowns) rows, then the rows of
+    the unknowns whose last degree it is set aside."""
     n = A.shape[1]
-    n_deg = len(block.degrees)
-    h = len(A) // n_deg  # rows per degree
+    h = len(A) // len(block.degrees)  # rows per degree
     out = np.zeros((n, n))
-    R, play, done, p = np.zeros((0, 0)), np.arange(0), 0, 0
-    while p < n_deg:
-        q = p
-        while block.frequency is not None and q + 1 < n_deg and (
-                (q + 2 - p) * h + len(R) <= 4 * np.count_nonzero(block.first[done:] <= q + 1)):
-            q += 1
-        now = done + np.flatnonzero(block.first[done:] <= q)
+    R, play, done = np.zeros((0, 0)), np.arange(0), 0
+    for d in range(len(block.degrees)):
+        now = done + np.flatnonzero(block.first[done:] <= d)
         grown = np.zeros((len(R), len(now)))
         grown[:, np.searchsorted(now, play)] = R
-        R, rows = grown, A[p * h : (q + 1) * h, now]
+        R, rows = grown, A[d * h : (d + 1) * h, now]
         i = 0
         while i < len(rows):
             chunk = 4 * len(now) - len(R)
             R = np.linalg.qr(np.vstack((R, rows[i : i + chunk])), mode="r")
             i += chunk
-        k = np.count_nonzero(block.last[now] <= q)
+        k = np.count_nonzero(block.last[now] <= d)
         out[done : done + min(k, len(R)), now] = R[:k]
-        R, play, done, p = R[k:, k:], now[k:], done + k, q + 1
+        R, play, done = R[k:, k:], now[k:], done + k
     return out
+
+
+def on_staircase(block):
+    """Whether nullspace factors the block along its staircase: it is not
+    graded and has more than one t-degree.  Every other block takes one SVD."""
+    return block.frequency is None and len(block.degrees) > 1
+
+
+def block_factor(A, block):
+    """The matrix whose SVD nullspace takes for a block with rows A."""
+    return staircase_r(A, block) if on_staircase(block) else A
 
 
 @pytest.mark.parametrize("family, m", FAMILIES)
 @pytest.mark.parametrize("N", range(2, 17))
 def test_planned_staircase_keeps_the_staircase_r_bits(family, m, N):
-    # Both layouts: the solver's points passed explicitly (sigma halves
-    # where they apply) and the default (graded but for one-nonminimal).
-    model = ModelSpec(family, get_germ("p1"), m=m)
-    for system in (assemble(model, N=N, points=solver_points(N)), assemble(model, N=N)):
-        for b in system.blocks:
+    # _r_factor gives the reference staircase's bits on the blocks that take
+    # it: the sigma layout (the solver's points passed explicitly) and a
+    # non-radial germ at the default points.
+    for model, points in ((ModelSpec(family, get_germ("p1"), m=m), solver_points(N)),
+                          (ModelSpec(family, get_germ("p3"), m=m), None)):
+        system = assemble(model, N=N, points=points)
+        for b in filter(on_staircase, system.blocks):
             A = system.matrix[b.rows, : len(b.unknowns)]
             assert np.array_equal(_r_factor(A, b), staircase_r(A, b))
+
+
+# The solve-sweep's seven models (perfbench/workloads.py), and three whose
+# blocks are on the staircase at the default points.
+SELECTION_MODELS = {
+    "p1-aut0": (ModelSpec(ONE_NONMINIMAL, get_germ("p1")), True),
+    "p2-aut0": (ModelSpec(ONE_NONMINIMAL, get_germ("p2")), True),
+    "p3-aut": (ModelSpec(ONE_NONMINIMAL, get_germ("p3")), False),
+    "p3-aut0": (ModelSpec(ONE_NONMINIMAL, get_germ("p3")), True),
+    "p1-m2-aut0": (ModelSpec(M_NONMINIMAL, get_germ("p1"), m=2), True),
+    "hyperquadric-aut0": (ModelSpec(RIGID, get_germ("control")), True),
+    "counterexample-aut0": (ModelSpec(ONE_NONMINIMAL, get_germ("counterexample")), True),
+    "rigid-p2": (ModelSpec(RIGID, get_germ("p2")), True),
+    "p3-m2": (ModelSpec(M_NONMINIMAL, get_germ("p3"), m=2), True),
+    "p2-m3": (ModelSpec(M_NONMINIMAL, get_germ("p2"), m=3), True),
+}
+
+
+@pytest.mark.parametrize("name", SELECTION_MODELS)
+@pytest.mark.parametrize("N", range(2, 17))
+def test_nullspace_takes_one_svd_off_the_staircase(name, N):
+    # A graded or one-degree block is one SVD of its rows; an ungraded block
+    # of several degrees is the SVD of its staircase R.  nullspace's singular
+    # values are those, bit for bit, merged in a stable descending sort.
+    model, vanish = SELECTION_MODELS[name]
+    for points in (None, solver_points(N)):
+        system = assemble(model, N=N, points=points, vanish_at_origin=vanish)
+        s = np.concatenate([
+            np.linalg.svd(block_factor(system.matrix[b.rows, : len(b.unknowns)], b),
+                          full_matrices=False)[1]
+            for b in system.blocks])
+        assert np.array_equal(nullspace(system).singular_values, s[np.argsort(-s, kind="stable")])
 
 
 # The settings of the byte-identity checks: every family, each catalog germ
@@ -806,7 +831,7 @@ def per_vector_report(model, N):
     vectors = []
     for b in system.blocks:
         A = system.matrix[b.rows, : len(b.unknowns)]
-        _, s_b, vt_b = np.linalg.svd(_r_factor(A, b), full_matrices=False)
+        _, s_b, vt_b = np.linalg.svd(block_factor(A, b), full_matrices=False)
         vectors += [(value, b, v) for value, v in zip(s_b, vt_b)]
     vectors.sort(key=lambda item: -item[0])  # stable: ties keep block order
     s = np.array([value for value, _, _ in vectors])
