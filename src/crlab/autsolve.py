@@ -93,13 +93,15 @@ class Block:
 class TangencySystem:
     """The block-diagonal system, packed: row r of block b holds its entries
     on b's unknowns only, left-aligned.  Its null space is the tangency
-    system's at ``points``."""
+    system's at ``points``.  ``p_max`` is max |P| over the z2 points the
+    rows were written at (``_require_curved``)."""
 
     matrix: np.ndarray = field(repr=False)
     columns: tuple
     model: ModelSpec
     points: tuple
     blocks: tuple
+    p_max: float
 
     @property
     def scale(self) -> np.ndarray:
@@ -130,7 +132,7 @@ class TangencySystem:
 class AutBasis:
     """The null space as one block of coefficient rows, in reduced row
     echelon form (``_rref``): ``coefficients[i, c]`` is basis vector i's
-    coefficient on the monomial ``columns[c]``.  ``labels[i]`` writes row i
+    coefficient on the monomial ``columns[c]``, in echelon order (``_columns``).  ``labels[i]`` writes row i
     as a field (``canonicalize``).  For a graded system ``frequencies[i]``
     is row i's rotation frequency |f|; it is None otherwise."""
 
@@ -156,33 +158,17 @@ class AutBasis:
         return self.status == "confident"
 
 
-def _monomials(N: int, include_origin: bool):
-    return [
-        (j, k)
-        for d in range(0, N + 1)
-        for j in range(d, -1, -1)
-        for k in [d - j]
-        if include_origin or (j, k) != (0, 0)
-    ]
-
-
-def _require_curved(model: ModelSpec, p: np.ndarray, bound: float) -> None:
-    """Reject a model whose points cannot tell it from the Levi-flat P = 0,
-    whose algebra is infinite-dimensional: max |P| over the z2 points, p, is
-    at most ``bound`` (0 in assemble, tau in nullspace)."""
-    p_max = float(np.max(np.abs(p)))
+def _require_curved(model: ModelSpec, p_max: float, bound: float) -> None:
+    """Reject a model whose rows cannot tell it from the Levi-flat P = 0,
+    whose algebra is infinite-dimensional: p_max, max |P| over the z2 points
+    that ``assemble`` writes rows at, is at most ``bound`` (0 in assemble,
+    tau in nullspace)."""
     if p_max <= bound:
         raise ParameterError(
             "the solver requires P not identically zero on a neighborhood of 0; "
             f"germ '{model.germ.id}' gives max |P| = {p_max:.3g} over the z2 points, "
             f"not above {bound:.3g}: they cannot tell the model from the Levi-flat one"
         )
-
-
-@functools.lru_cache(maxsize=1)
-def _germ_at(germ, points: tuple) -> np.ndarray:
-    """P at the z2 points (read-only), kept for nullspace after assemble."""
-    return _read_only(germ(np.asarray(points)))[0]
 
 
 def _sigma(family: str, m: int) -> int | None:
@@ -270,9 +256,10 @@ def _read_only(*arrays):
 
 @functools.lru_cache(maxsize=_LAYOUTS)
 def _columns(N: int, vanish_at_origin: bool) -> tuple[Column, ...]:
-    """The monomial columns, one tuple for the layouts that share them."""
-    monos = _monomials(N, include_origin=not vanish_at_origin)
-    return tuple((comp, j, k) for comp in (1, 2) for (j, k) in monos)
+    """The monomial columns in echelon order: total degree, then component,
+    then j descending.  One tuple for the layouts that share them."""
+    return tuple((comp, j, d - j) for d in range(1 if vanish_at_origin else 0, N + 1)
+                 for comp in (1, 2) for j in range(d, -1, -1))
 
 
 @functools.lru_cache(maxsize=_LAYOUTS)
@@ -433,17 +420,17 @@ def assemble(
     z = np.asarray(points)
     if not np.all(np.isfinite(z)) or np.any(z == 0):
         raise ParameterError("z2 points must be finite and avoid the origin exactly")
-    p = _germ_at(model.germ, points)
-    _require_curved(model, p, 0.0)
     r = np.max(np.abs(z))
-    if graded:
-        # Each shell's real point, which is its own conjugate.
+    if graded:  # rows at each shell's real point, which is its own conjugate
         z = np.array(SOLVER_SHELLS, complex)
-        p, pw = model.germ(z), model.germ.wirt(z)
+    p = model.germ(z)
+    p_max = float(np.max(np.abs(p)))
+    _require_curved(model, p_max, 0.0)
+    pw = model.germ.wirt(z)
+    if graded:
         halves = 2 if w is not None and _conjugation_even(
             *(np.tile(x, 2) for x in (z, p, pw))) else 1
     else:
-        pw = model.germ.wirt(z)
         halves = 2 if w is not None and _conjugation_even(z, p, pw) else 1
         z, p, pw = (x[: len(z) // halves] for x in (z, p, pw))
 
@@ -467,7 +454,8 @@ def assemble(
     strips /= np.repeat(weights, counts, axis=0)
     mat = np.zeros(shape)
     mat.reshape(-1, len(z), shape[1]).transpose(0, 2, 1)[np.repeat(groups, counts), cols] = strips
-    return TangencySystem(matrix=mat, columns=columns, model=model, points=points, blocks=blocks)
+    return TangencySystem(matrix=mat, columns=columns, model=model, points=points,
+                          blocks=blocks, p_max=p_max)
 
 
 def _fields_from_rows(C: np.ndarray, columns) -> list:
@@ -546,14 +534,6 @@ def _r_factor(A: np.ndarray, block: Block) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=_LAYOUTS)
-def _echelon_columns(columns: tuple) -> np.ndarray:
-    """The column indices in echelon order: total degree, then component,
-    then j descending (read-only)."""
-    key = [(j + k, comp, -j) for comp, j, k in columns]
-    return _read_only(np.array(sorted(range(len(columns)), key=key.__getitem__), np.intp))[0]
-
-
 def _rref(R: np.ndarray, tol: float) -> list:
     """Reduce the rows of R in place to reduced row echelon form, and return
     each row's pivot column.  Each step scales the rows not yet reduced to
@@ -589,13 +569,13 @@ def nullspace(system: TangencySystem, tau: float = 1e-8) -> AutBasis:
     roundoff floor (numpy's ``matrix_rank`` tolerance) no singular value
     can be told from zero.  ``confident`` also needs every null singular
     value at or below that floor.  A model whose P is at most tau at every
-    z2 point is rejected (see ``_require_curved``).
+    z2 point its rows were written at (``p_max``) is rejected (see
+    ``_require_curved``).
     """
     floor = max(system.n_samples, system.n_unknowns) * np.finfo(float).eps
     if not (floor <= tau < 1):
         raise ParameterError(f"tau must be in [{floor:.3g}, 1) for this system")
-    germ = system.model.germ
-    _require_curved(system.model, _germ_at(germ, system.points), tau)
+    _require_curved(system.model, system.p_max, tau)
     factors = []
     for block in system.blocks:
         A = system.matrix[block.rows, : len(block.unknowns)]
@@ -606,13 +586,10 @@ def nullspace(system: TangencySystem, tau: float = 1e-8) -> AutBasis:
             # R's SVD gives the singular values and right vectors of A without forming U.
             A = _r_factor(A, block)
         factors.append(np.linalg.svd(A, full_matrices=False)[1:])
-    s = np.concatenate([sb for sb, _ in factors])
-    order = np.argsort(-s, kind="stable")
-    s = s[order]
+    s = np.sort(np.concatenate([sb for sb, _ in factors]))[::-1]
     cutoff = tau * (s[0] if s[0] > 0 else 1.0)
-    null_mask = s <= cutoff
-    s_above = s[~null_mask]
-    s_below = s[null_mask]
+    s_above = s[s > cutoff]
+    s_below = s[s <= cutoff]
     if len(s_above) == 0 or s_below.max(initial=0.0) == 0.0:
         # An empty or full null space, or null values that are exactly 0.
         gap = float("inf")
@@ -626,26 +603,20 @@ def nullspace(system: TangencySystem, tau: float = 1e-8) -> AutBasis:
     # matrix's unknowns, whose scales are alike, block by block (blocks share
     # no unknown), and merged in the order of their pivots.
     noise = max(floor * s[0], s_below.max(initial=0.0)) / s_above.min() if len(s_above) else floor
-    position = np.empty(system.n_unknowns, int)  # of each unknown, in echelon order
-    position[(2 * _echelon_columns(system.columns)[:, None] + [0, 1]).ravel()] = (
-        np.arange(system.n_unknowns))
-    starts = np.cumsum([0] + [len(sb) for sb, _ in factors])
-    null = order[null_mask]
-    block_of = np.searchsorted(starts, null, side="right") - 1
-    V = np.zeros((len(null), system.n_unknowns))
-    pivots = np.zeros(len(null), int)
-    for b in np.unique(block_of).tolist():
-        rows, unknowns = np.flatnonzero(block_of == b), system.blocks[b].unknowns
-        ech = np.argsort(position[unknowns])
-        R = factors[b][1][null[rows] - starts[b]][:, ech]
-        pivots[rows] = unknowns[ech][_rref(R, np.sqrt(noise))]
-        V[rows[:, None], unknowns[ech]] = R
-    rank = np.argsort(position[pivots])
-    V, pivots = V[rank], pivots[rank]
+    rows, pivots = [], []
+    for block, (sb, vt) in zip(system.blocks, factors):
+        ech = np.argsort(block.unknowns)  # unknowns are numbered in echelon order
+        R = vt[sb <= cutoff][:, ech]
+        pivots += block.unknowns[ech][_rref(R, np.sqrt(noise))].tolist()
+        row = np.zeros((len(R), system.n_unknowns))
+        row[:, block.unknowns[ech]] = R
+        rows.append(row)
+    rank = np.argsort(pivots)
+    V, pivots = np.concatenate(rows)[rank], np.array(pivots, int)[rank]
     scale = system.scale
     # + 0.0 turns a -0.0 part into 0.0, so reports never print "-0.0".
     C = (V * scale / scale[pivots][:, None] + 0.0).view(complex)
-    z = VALIDATION_POINTS
+    z, germ = VALIDATION_POINTS, system.model.germ
     p, pw = germ(z), germ.wirt(z)
     resids = _validation_residuals(system.model, C, system.columns, p, pw)
     # |C| row maxima are the basis fields' max_coefficient().  A field tangent
@@ -686,8 +657,7 @@ def canonicalize(basis: AutBasis) -> AutBasis:
     """Label each basis row as its field: a sum of monomial terms in echelon
     order, the pivot first, with coefficients to 6 significant digits
     (``i z2 dz2``, ``dz2 - 2 z2 dz1``, ``(1 + 2i) z1 dz1``)."""
-    order = _echelon_columns(basis.columns)
-    C = basis.coefficients[:, order]
+    C = basis.coefficients
     labels = [""] * len(C)
     rows, cols = np.nonzero(C)  # row by row, each in echelon order
     for r, i, c in zip(rows.tolist(), cols.tolist(), C[rows, cols].tolist()):
@@ -697,7 +667,7 @@ def canonicalize(basis: AutBasis) -> AutBasis:
             x = c.real or c.imag
             sign, coef = "-" if x < 0 else "+", f"{abs(x):.6g}"
             coef = ("" if coef == "1" else coef) + ("i" if c.imag else "")
-        term = " ".join(filter(None, [coef, _monomial(*basis.columns[order[i]])]))
+        term = " ".join(filter(None, [coef, _monomial(*basis.columns[i])]))
         labels[r] += f" {sign} {term}" if labels[r] else ("-" if sign == "-" else "") + term
     return replace(basis, labels=labels)
 

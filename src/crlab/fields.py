@@ -60,26 +60,19 @@ def _eval_sparse(coeffs: Coeffs, z1, z2):
         for (j, k) in sorted(coeffs):
             total = total + coeffs[(j, k)] * _scalar_power(z1, j) * _scalar_power(z2, k)
         return total
-    keys = sorted(coeffs)
-    h = eval_rows(keys, np.array([[coeffs[key] for key in keys]], dtype=complex), z1, z2)[0]
-    return complex(h) if np.ndim(h) == 0 else h
-
-
-def eval_rows(keys, coeffs: np.ndarray, z1, z2) -> np.ndarray:
-    """Row r: sum_i coeffs[r, i] z1^j z2^k over ``keys[i] = (j, k)``, adding
-    (c z1^j) z2^k in key order.  Rows do not mix, and an exact 0 coefficient
-    adds +-0 to a total that is never -0, so it changes no bit."""
+    # Otherwise (c z1^j) z2^k is added in key order.
     z1, z2 = np.asarray(z1), np.asarray(z2)
-    shape = np.broadcast(z1, z2).shape
-    total = np.zeros((len(coeffs), *shape), dtype=complex)
+    keys = sorted(coeffs)
     pow1 = {j: z1**j for j in {j for j, _ in keys}}
     pow2 = {k: z2**k for k in {k for _, k in keys}}
-    # Column i of coeffs, shaped to broadcast against the points.
-    columns = coeffs.T.reshape(len(keys), len(coeffs), *(1,) * len(shape))
+    total = np.zeros(np.broadcast(z1, z2).shape, dtype=complex)
+    # Each term is formed in a full-shape buffer: numpy's scalar complex
+    # product rounds differently from its array loop.
     term = np.empty_like(total)
-    for (j, k), c in zip(keys, columns):
-        total += np.multiply(np.multiply(c, pow1[j], out=term), pow2[k], out=term)
-    return total
+    for (j, k) in keys:
+        total += np.multiply(np.multiply(complex(coeffs[(j, k)]), pow1[j], out=term), pow2[k],
+                             out=term)
+    return complex(total) if total.ndim == 0 else total
 
 
 def _scalar_power(z: complex, j: int) -> complex:

@@ -270,12 +270,12 @@ def _dormand_prince(fun, t0, t_bound, y0, rtol, atol, t_eval, events):
     return samples, fired, t_end, accepted
 
 
-def _solve(rhs, t_span, y0, tol, events) -> tuple[FlowTrajectory, float]:
+def _solve(rhs, t_span, y0, tol, events) -> FlowTrajectory:
     """Dormand-Prince 5(4) on ``t_span`` sampled at ``N_SAMPLES``
     equispaced times.  ``y0`` and ``rhs``'s values are lists of floats, the
-    real and imaginary parts of the complex state.  Returns the trajectory
-    and the time the integration ended: ``t_span[1]`` or the time the
-    first terminal event fired, whose ``status`` the trajectory gets.
+    real and imaginary parts of the complex state.  The integration ends at
+    ``t_span[1]`` or where the first terminal event fires, whose ``status``
+    the trajectory gets.
     """
     if not (TOL_MIN <= tol < 1e-2):
         raise ParameterError(f"tol must lie in [{TOL_MIN:.3g}, 1e-2)")
@@ -309,7 +309,7 @@ def _solve(rhs, t_span, y0, tol, events) -> tuple[FlowTrajectory, float]:
         return dy
 
     t0, t1 = float(t_span[0]), float(t_span[1])
-    samples, fired, t_end, accepted = _dormand_prince(
+    samples, fired, _, accepted = _dormand_prince(
         checked_rhs, t0, t1, y0, tol, atol, t_eval.tolist(), events
     )
     y = np.array(samples)
@@ -320,7 +320,7 @@ def _solve(rhs, t_span, y0, tol, events) -> tuple[FlowTrajectory, float]:
         status=STATUS_OK if fired is None else events[fired].status,
     )
     traj.nfev, traj.accepted_steps = nfev, accepted
-    return traj, t_end
+    return traj
 
 
 def integrate_field(
@@ -346,7 +346,7 @@ def integrate_field(
     events = [] if model is None else [
         _circle_event(2, model.germ.radius, 1, STATUS_LEFT_DOMAIN)
     ]
-    traj, _ = _solve(rhs, t_span, y0, tol, events)
+    traj = _solve(rhs, t_span, y0, tol, events)
     if model is not None:
         states = traj.states
         # (Re z1)^m overflows for a large m long before the state does.
@@ -398,8 +398,7 @@ def characteristic_flow(
         _circle_event(0, max(ORIGIN_RADIUS, tol), -1, STATUS_REACHED_ORIGIN),
         _circle_event(0, DEFAULT_RADIUS, 1, STATUS_LEFT_DOMAIN),
     ]
-    traj, _ = _solve(rhs, t_span, [z0.real, z0.imag], tol, events)
-    return traj
+    return _solve(rhs, t_span, [z0.real, z0.imag], tol, events)
 
 
 def log_p_diagnostic(germ: SmoothGerm, traj: FlowTrajectory):

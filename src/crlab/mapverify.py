@@ -70,14 +70,6 @@ class Negate:
         return (0.0, -1.0)
 
 
-def eval_poly(coeffs, z):
-    z = np.asarray(z, dtype=complex)
-    total = np.zeros_like(z)
-    for c in reversed(coeffs):
-        total = total * z + c
-    return total
-
-
 def default_grid():
     """The samples a map is verified at: 13 t values times 120 z2 points on
     five shells, as the flat arrays (T, Z2) of their product."""
@@ -99,7 +91,7 @@ def check_reparam(germ: SmoothGerm, g2_coeffs, grid):
     """sup |P(g2(z)) - P(z)| and the least-squares delta with
     P(g2(z)) ~ delta * P(z) over non-underflowed samples."""
     z = np.asarray(list(grid), dtype=complex)
-    w = eval_poly(tuple(g2_coeffs), z)
+    w = np.polyval(tuple(g2_coeffs)[::-1], z)
     p = np.asarray(germ(z), dtype=float)
     q = np.asarray(germ(w), dtype=float)
     sup_diff = float(np.max(np.abs(q - p)))

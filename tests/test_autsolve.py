@@ -26,8 +26,8 @@ from crlab.autsolve import (
     SOLVER_SHELLS,
     VALIDATION_POINTS,
     _column_polys,
+    _columns,
     _layout,
-    _monomials,
     _r_factor,
     _weight_blocks,
     solver_points,
@@ -181,7 +181,7 @@ def test_blocks_join_pairs_as_the_per_column_rule_joins_columns(family, m):
     model = ModelSpec(family, get_germ("p1"), m=m)
     for N in range(1, 17):
         for origin in (False, True):
-            columns = [(comp, j, k) for comp in (1, 2) for j, k in _monomials(N, origin)]
+            columns = _columns(N, not origin)
             supports = surface_polys(model, np.empty(0, complex))
             polys = _column_polys(supports, {c[:2] for c in columns})
             assert _weight_blocks(polys, columns) == per_column_blocks(polys, columns)
@@ -369,7 +369,7 @@ def test_nothing_splits_without_sigma(family, m, germ):
     model = ModelSpec(family, get_germ(germ), m=m)
     for N in (2, 5, 12):
         system = assemble(model, N, points=solver_points(N))
-        columns = [(c, j, k) for c in (1, 2) for j, k in _monomials(N, False)]
+        columns = _columns(N, True)
         supports = surface_polys(model, np.empty(0, complex))
         polys = _column_polys(supports, {c[:2] for c in columns})
         assert len(system.blocks) == len(_weight_blocks(polys, columns))
@@ -1083,13 +1083,12 @@ def test_basis_rows_are_in_reduced_row_echelon_form(name, N):
     # order; the pivots rise from row to row, and each pivot entry is 0 in
     # every other row (test_nullspace_matches_direct_thin_svd checks that
     # they span the SVD's null vectors).
+    # The unknowns are numbered in echelon order (re before im), so the
+    # pivots rise by unknown index.
     model = ORACLE_MODELS[name]
     system = assemble(model, N)
     basis = canonicalize(nullspace(system))
-    columns = basis.columns
-    entries = [2 * i + e for i in sorted(range(len(columns)), key=lambda i: echelon_key(columns[i]))
-               for e in (0, 1)]
-    R = basis.coefficients.view(float)[:, entries]
+    R = basis.coefficients.view(float)
     pivots = [int(np.flatnonzero(row)[0]) for row in R]
     assert pivots == sorted(set(pivots)) and len(pivots) == basis.dimension
     assert np.array_equal(R[:, pivots], np.eye(basis.dimension))
@@ -1104,3 +1103,73 @@ def test_replace_keeps_the_coefficient_block():
     assert copy.columns == basis.columns
     assert copy.basis == basis.basis
     assert canonicalize(copy).labels == ["z1 dz1", "i z2 dz2"]
+
+
+@pytest.mark.parametrize("N", [*range(1, 13), 16])
+@pytest.mark.parametrize("vanish", [True, False])
+def test_columns_are_numbered_in_echelon_order(N, vanish):
+    columns = _columns(N, vanish)
+    assert list(columns) == sorted(columns, key=echelon_key)
+    monomials = {(j, d - j) for d in range(N + 1) for j in range(d + 1)}
+    if vanish:
+        monomials.remove((0, 0))
+    assert sorted(columns) == sorted((comp, *mono) for comp in (1, 2) for mono in monomials)
+
+
+@pytest.mark.parametrize("name", SELECTION_MODELS)
+@pytest.mark.parametrize("N", [2, 7, 12])
+def test_pivots_ascend_by_unknown_index(name, N):
+    # Graded, sigma-split, staircase and whole blocks alike: each block's
+    # rows are reduced over its unknowns in index order, and the merged
+    # rows' pivots rise.
+    model, vanish = SELECTION_MODELS[name]
+    for points in (None, solver_points(N)):
+        basis = nullspace(assemble(model, N=N, points=points, vanish_at_origin=vanish))
+        pivots = [int(np.flatnonzero(row)[0]) for row in basis.coefficients.view(float)]
+        assert pivots == sorted(set(pivots))
+
+
+def counting_germ(germ_id):
+    """germ_id's germ, which records the points of each P and dP/dz call."""
+    germ = get_germ(germ_id)
+    calls = {"P": [], "dP/dz": []}
+
+    def recorded(name, fn):
+        def fn_recorded(z):
+            calls[name].append(np.array(z))
+            return fn(z)
+        return fn_recorded
+
+    return replace(germ, eval_fn=recorded("P", germ.eval_fn),
+                   wirt_fn=recorded("dP/dz", germ.wirt_fn)), calls
+
+
+@pytest.mark.parametrize("germ_id", ["p1", "p2"])
+@pytest.mark.parametrize("family, m", [(ONE_NONMINIMAL, 1), (RIGID, 1), (M_NONMINIMAL, 2)])
+def test_the_germ_is_evaluated_once_where_rows_are_written(germ_id, family, m):
+    # assemble evaluates P and dP/dz once each: at the graded system's five
+    # real shell points, or at the solver points; nullspace only at the
+    # validation points.
+    germ, calls = counting_germ(germ_id)
+    model = ModelSpec(family, germ, m=m)
+    for name in calls:
+        calls[name].clear()
+    N = 6
+    system = assemble(model, N)
+    assert system.graded == (germ_id == "p1" and family != ONE_NONMINIMAL)
+    rows_at = np.array(SOLVER_SHELLS if system.graded else solver_points(N), complex)
+    for points in calls.values():
+        assert len(points) == 1 and np.array_equal(points.pop(), rows_at)
+    nullspace(system)
+    for points in calls.values():
+        assert len(points) == 1 and np.array_equal(points.pop(), VALIDATION_POINTS)
+
+
+def test_nullspace_refuses_p_max_at_tau_without_evaluating_the_germ():
+    germ, calls = counting_germ("p2")
+    system = assemble(ModelSpec(ONE_NONMINIMAL, germ), N=5)
+    for name in calls:
+        calls[name].clear()
+    with pytest.raises(ParameterError, match="max [|]P[|] = 1e-08 .*not above 1e-08"):
+        nullspace(replace(system, p_max=1e-8), tau=1e-8)
+    assert calls == {"P": [], "dP/dz": []}

@@ -197,7 +197,7 @@ def _reference_flows():
         "rotation": (lambda: characteristic_flow(1j, 1, None, 0.3, (0.0, 5.0), tol=1e-10), 944),
         "blow-up": (lambda: characteristic_flow(1.0, 2, None, 0.3, (0.0, 30.0), tol=1e-12), 566),
         "decay": (lambda: characteristic_flow(-1.0, 1, None, 0.3, (0.0, 80.0), tol=1e-10), 1244),
-        "jump": (lambda: flow._solve(jump, (0.0, 1.0), [0.0, 1.0], 1e-8, [])[0], 356),
+        "jump": (lambda: flow._solve(jump, (0.0, 1.0), [0.0, 1.0], 1e-8, []), 356),
     }
 
 
@@ -205,17 +205,19 @@ REFERENCE_FLOWS = ["criterion-06", "rotation", "blow-up", "decay", "jump"]
 
 
 @pytest.fixture
-def solve_calls(monkeypatch):
-    """Records the arguments and result of every ``flow._solve`` call."""
+def integrations(monkeypatch):
+    """Records the arguments and the end time of every
+    ``flow._dormand_prince`` call: the time the integration ended, at the
+    span's end or where a terminal event fired."""
     calls = []
-    solve = flow._solve
+    dormand_prince = flow._dormand_prince
 
-    def recording_solve(*args):
-        result = solve(*args)
-        calls.append((args, result))
+    def recording(*args):
+        result = dormand_prince(*args)
+        calls.append((args, result[2]))
         return result
 
-    monkeypatch.setattr(flow, "_solve", recording_solve)
+    monkeypatch.setattr(flow, "_dormand_prince", recording)
     return calls
 
 
@@ -229,12 +231,12 @@ def test_reference_flows_take_pinned_rhs_evaluations(name):
     assert (traj.nfev - 2) % 6 == 0
 
 
-def test_terminal_event_times_match_closed_forms(solve_calls, monkeypatch):
+def test_terminal_event_times_match_closed_forms(integrations, monkeypatch):
     # gamma' = gamma^2 from x0: gamma = x0/(1 - x0 t) leaves |gamma| = R at
     # t = 1/x0 - 1/R.
     traj = characteristic_flow(1.0, 2, None, 0.3, (0.0, 30.0), tol=1e-12)
     assert traj.status == "left-domain"
-    t_end = solve_calls[-1][1][1]
+    t_end = integrations[-1][1]
     assert abs(t_end - (1 / 0.3 - 1 / DEFAULT_RADIUS)) < 1e-9
     # gamma = 0.3 e^(-t) reaches radius r0 at t = ln(0.3 / r0).  At the
     # default r0 = max(1e-12, tol), only 100 atol, the time is good to
@@ -242,16 +244,17 @@ def test_terminal_event_times_match_closed_forms(solve_calls, monkeypatch):
     monkeypatch.setattr(flow, "ORIGIN_RADIUS", 1e-3)
     traj = characteristic_flow(-1.0, 1, None, 0.3, (0.0, 80.0), tol=1e-12)
     assert traj.status == "reached-origin"
-    t_end = solve_calls[-1][1][1]
+    t_end = integrations[-1][1]
     assert abs(t_end - math.log(0.3 / 1e-3)) < 1e-9
 
 
 @pytest.mark.parametrize("name", REFERENCE_FLOWS)
-def test_reference_flows_agree_with_scipy_rk45(name, solve_calls):
+def test_reference_flows_agree_with_scipy_rk45(name, integrations):
     integrate = pytest.importorskip("scipy.integrate")
     run, _ = _reference_flows()[name]
     traj = run()
-    (rhs, t_span, y0, tol, events), (_, t_end) = solve_calls[-1]
+    (rhs, t0, t1, y0, tol, _, _, events), t_end = integrations[-1]
+    t_span = (t0, t1)
 
     def scipy_event(event):
         wrapped = lambda t, y: event(t, y)  # noqa: E731
