@@ -4,6 +4,7 @@ pointwise tangency residual Re[rho_z1 h1 + rho_z2 h2] on a model surface."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,9 +29,13 @@ class VectorFieldPoly:
 
     def eval(self, z1, z2):
         """(h1(z1,z2), h2(z1,z2)); fixed summation order for reproducibility."""
-        h1 = _eval_sparse(self.coeffs1, z1, z2)
-        h2 = _eval_sparse(self.coeffs2, z1, z2)
-        return h1, h2
+        terms1, terms2 = self._terms
+        return _eval_sparse(terms1, z1, z2), _eval_sparse(terms2, z1, z2)
+
+    @cached_property
+    def _terms(self):
+        """Each component's ((j, k), coefficient) terms in key order."""
+        return tuple(sorted(self.coeffs1.items())), tuple(sorted(self.coeffs2.items()))
 
     def max_coefficient(self) -> float:
         vals = [abs(v) for v in self.coeffs1.values()] + [
@@ -40,38 +45,31 @@ class VectorFieldPoly:
 
     def to_records(self) -> list[dict]:
         """The report rows, one per monomial in (component, j, k) order."""
-        recs = []
-        for comp, coeffs in ((1, self.coeffs1), (2, self.coeffs2)):
-            for (j, k) in sorted(coeffs):
-                v = coeffs[(j, k)]
-                recs.append(
-                    {"component": comp, "j": j, "k": k, "re": v.real, "im": v.imag}
-                )
-        return recs
+        return [{"component": comp, "j": j, "k": k, "re": v.real, "im": v.imag}
+                for comp, terms in enumerate(self._terms, 1) for (j, k), v in terms]
 
 
-def _eval_sparse(coeffs: Coeffs, z1, z2):
+def _eval_sparse(terms, z1, z2):
     # Two complex scalars (a flow right-hand side) take plain Python
     # arithmetic: numpy's 0-d overhead is most of a scalar call.  The
     # results are bit-identical to the array formula's.
     if isinstance(z1, complex) and isinstance(z2, complex):
         z1, z2 = complex(z1), complex(z2)
         total = 0j
-        for (j, k) in sorted(coeffs):
-            total = total + coeffs[(j, k)] * _scalar_power(z1, j) * _scalar_power(z2, k)
+        for (j, k), c in terms:
+            total = total + c * _scalar_power(z1, j) * _scalar_power(z2, k)
         return total
     # Otherwise (c z1^j) z2^k is added in key order.
     z1, z2 = np.asarray(z1), np.asarray(z2)
-    keys = sorted(coeffs)
+    keys = [key for key, _ in terms]
     pow1 = {j: z1**j for j in {j for j, _ in keys}}
     pow2 = {k: z2**k for k in {k for _, k in keys}}
     total = np.zeros(np.broadcast(z1, z2).shape, dtype=complex)
     # Each term is formed in a full-shape buffer: numpy's scalar complex
     # product rounds differently from its array loop.
     term = np.empty_like(total)
-    for (j, k) in keys:
-        total += np.multiply(np.multiply(complex(coeffs[(j, k)]), pow1[j], out=term), pow2[k],
-                             out=term)
+    for (j, k), c in terms:
+        total += np.multiply(np.multiply(complex(c), pow1[j], out=term), pow2[k], out=term)
     return complex(total) if total.ndim == 0 else total
 
 

@@ -14,6 +14,8 @@ from .germs import SmoothGerm
 from .models import ModelSpec, rho, surface_point
 
 DELTA_FIT_FLOOR = 1e-100
+# The reparametrization samples: 40 points on the circle |z - 0.05| = 0.3.
+REPARAM_SAMPLE = tuple(0.05 + 0.3 * np.exp(2j * np.pi * q / 40) for q in range(40))
 
 
 def _require_finite(name: str, value: complex):
@@ -123,8 +125,7 @@ def verdict_report(model: ModelSpec, mp, grid) -> dict:
     if hasattr(mp, "g2_coeffs"):
         g2_coeffs = mp.g2_coeffs()
         out["modulus_defect"] = check_modulus_derivative(g2_coeffs)
-        sample = [0.05 + 0.3 * np.exp(2j * np.pi * q / 40) for q in range(40)]
-        sup_diff, delta_hat = check_reparam(model.germ, g2_coeffs, sample)
+        sup_diff, delta_hat = check_reparam(model.germ, g2_coeffs, REPARAM_SAMPLE)
         out["sup_diff"] = sup_diff
         out["delta_hat"] = delta_hat
     return out

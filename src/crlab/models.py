@@ -12,6 +12,7 @@ and the Wirtinger gradient of its defining function.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,8 +40,11 @@ class ModelSpec:
         if self.family not in FAMILIES:
             raise ParameterError(f"unknown family {self.family!r}; known: {FAMILIES}")
         if self.family == M_NONMINIMAL:
-            if not (isinstance(self.m, int) and self.m >= 2):
-                raise ParameterError("m-nonminimal models require integer m >= 2")
+            # t**m and m * P take m as a float.
+            if not (isinstance(self.m, int) and 2 <= self.m <= sys.float_info.max):
+                raise ParameterError(
+                    "m-nonminimal models require integer m >= 2 within the float range"
+                )
         if not (np.isfinite(self.t_bound) and self.t_bound > 0):
             raise ParameterError("t_bound must be finite and positive")
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import cmath
 import csv
-import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +18,26 @@ DEFAULT_K_MAX = 20
 DEFAULT_N_ANGLES = 16
 R2_ACCEPT = 0.999
 DEFAULT_RADII = tuple(np.logspace(-3, -1, 10))
+
+
+def _window(radii, n_angles, K_max):
+    """What a scan fixes before its point: the sorted radii, the ring of
+    offsets radii x exp(i angles), the fit matrix [log r, 1] and r^K_max."""
+    radii = np.asarray(sorted(radii), dtype=float)
+    if len(radii) < 8:
+        raise ParameterError("need at least 8 radii for a stable fit")
+    if not (np.all(np.isfinite(radii)) and radii[0] > 0):
+        raise ParameterError("radii must be finite and positive")
+    angles = 2 * np.pi * np.arange(n_angles) / n_angles
+    log_r = np.log(radii)
+    fit = np.column_stack([log_r, np.ones_like(log_r)])
+    return radii, radii[:, None] * np.exp(1j * angles), fit, radii**K_max
+
+
+_DEFAULT_WINDOW = _window(DEFAULT_RADII, DEFAULT_N_ANGLES, DEFAULT_K_MAX)
+for _array in _DEFAULT_WINDOW:
+    _array.flags.writeable = False
+del _array
 
 
 @dataclass(frozen=True)
@@ -47,46 +67,43 @@ def vanishing_order(
     max directional increment decays faster than |zeta|^K_max across the
     whole radius window (or is exactly 0 at all radii but at most one).
     """
-    if not (math.isfinite(K_max) and K_max >= 1):
+    if not 1 <= K_max <= sys.float_info.max:  # NaN, inf and ints beyond floats fail
         raise ParameterError("K_max must be finite and >= 1")
     if not (isinstance(n_angles, (int, np.integer)) and n_angles >= 1):
         raise ParameterError("n_angles must be an integer >= 1")
-    radii = np.asarray(sorted(DEFAULT_RADII if radii is None else radii), dtype=float)
-    if len(radii) < 8:
-        raise ParameterError("need at least 8 radii for a stable fit")
-    if not (np.all(np.isfinite(radii)) and radii[0] > 0):
-        raise ParameterError("radii must be finite and positive")
+    if radii is None and n_angles == DEFAULT_N_ANGLES and K_max == DEFAULT_K_MAX:
+        window = _DEFAULT_WINDOW
+    else:
+        window = _window(DEFAULT_RADII if radii is None else radii, n_angles, K_max)
+    radii, ring, fit, radii_k = window
     z = complex(z)
     if not cmath.isfinite(z):
         raise ParameterError("z must be finite")
-    if abs(z) + radii.max() > germ.radius * (1 + 1e-12):
+    if abs(z) + radii[-1] > germ.radius * (1 + 1e-12):
         raise ParameterError("radius window leaves the germ's domain disk")
 
-    angles = 2 * np.pi * np.arange(n_angles) / n_angles
-    offsets = np.exp(1j * angles)
     # One germ call: the centre z first, then the radius x angle ring.
-    vals = germ(np.concatenate(([z], (z + radii[:, None] * offsets).ravel())))
-    diffs = np.max(np.abs(vals[1:].reshape(len(radii), n_angles) - vals[0]), axis=1)
+    pts = np.empty(1 + ring.size, dtype=complex)
+    pts[0] = z
+    np.add(z, ring, out=pts[1:].reshape(ring.shape))
+    vals = germ(pts)
+    diffs = np.abs(vals[1:].reshape(ring.shape) - vals[0]).max(axis=1)
 
     positive = diffs > 0.0
-    r_pos = radii[positive]
-    d_pos = diffs[positive]
-    if len(r_pos) < 2:
+    if np.count_nonzero(positive) < 2:
         return VanishingOrderEstimate(
             point=z, order=None, infinite=True, slope=float("inf"),
             r2=float("nan"), note="by-underflow",
         )
 
-    x = np.log(r_pos)
-    y = np.log(d_pos)
-    A = np.column_stack([x, np.ones_like(x)])
+    A, y = (fit, np.log(diffs)) if positive.all() else (fit[positive], np.log(diffs[positive]))
     coef, *_ = np.linalg.lstsq(A, y, rcond=None)
     slope = float(coef[0])
     resid = y - A @ coef
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0 else 1.0
+    ss_tot = float(((y - y.sum() / len(y)) ** 2).sum())  # y.mean(), bit for bit
+    r2 = 1.0 - float((resid**2).sum()) / ss_tot if ss_tot > 0 else 1.0
 
-    flat_window = bool(np.all(diffs <= radii**K_max))
+    flat_window = bool((diffs <= radii_k).all())
     if slope >= K_max or flat_window:
         note = "slope-exceeds-window" if slope >= K_max else "sub-power-window"
         return VanishingOrderEstimate(

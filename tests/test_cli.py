@@ -9,6 +9,10 @@ import pytest
 from crlab.cli import main
 
 
+# A 400-digit integer: it parses as an int but has no float value.
+HUGE_INT = str(10**399)
+
+
 def run(args, tmp_path):
     return main(list(args) + ["--out-dir", str(tmp_path)])
 
@@ -194,6 +198,12 @@ def test_non_finite_or_out_of_range_input_is_invalid(args, tmp_path):
         (["flow", "--t0", "nan"], "t must be finite"),
         # exp(-1/|z|^8) is at most 2e-52 at the z2 points: below tau.
         (["solve", "--germ", "p1", "--a", "8"], "not above 1e-08"),
+        # Integers beyond the float range: OverflowError tracebacks before.
+        (["vtype", "--k-max", HUGE_INT], "K_max must be finite"),
+        (["solve", "--family", "m-nonminimal", "--m", HUGE_INT], "float range"),
+        (["flow", "--family", "m-nonminimal", "--m", HUGE_INT], "float range"),
+        (["verify", "--family", "m-nonminimal", "--m", HUGE_INT, "--map", "rotate:0.7"],
+         "float range"),
     ],
 )
 def test_invalid_input_message_comes_from_the_owning_rule(args, message, tmp_path, capsys):
@@ -248,6 +258,9 @@ def test_unknown_example_id_exits_2(tmp_path, capsys):
         ["counterexample", "--r", "0.001"],
         # (Re z1)^264 overflowed in rho: a RuntimeWarning, then a JSON error.
         ["flow", "--family", "m-nonminimal", "--m", "264"],
+        # An int beyond the float range: an OverflowError traceback.
+        ["vtype", "--k-max", HUGE_INT],
+        ["solve", "--family", "m-nonminimal", "--m", HUGE_INT],
     ],
 )
 def test_out_of_range_input_exits_2_in_a_subprocess(args, tmp_path):
@@ -277,12 +290,13 @@ NUMERIC_FLAGS = {
     "counterexample": ["--z20-re", "--z20-im", "--C", "--t0", "--r"],
 }
 EDGE_VALUES = ["nan", "inf", "-inf", "0", "1e308", "-1"]
+INT_FLAGS = {"--m", "--jet", "--k-max"}
 FUZZ_CASES = [
     [command, f"{flag}={value}", *(["--family", "m-nonminimal"] if flag == "--m" else []),
      *(["--map", "rotate:0.7"] if command == "verify" else [])]
     for command, flags in NUMERIC_FLAGS.items()
     for flag in flags
-    for value in EDGE_VALUES
+    for value in EDGE_VALUES + ([HUGE_INT] if flag in INT_FLAGS else [])
 ] + [
     ["solve", "--jet", "40"],
     *([command, "--family", "m-nonminimal", "--m", "400", *extra]

@@ -1,6 +1,7 @@
 """Field evaluation plus the closed-form tangency residuals used as oracles
 throughout the solver tests."""
 
+import builtins
 import struct
 
 import numpy as np
@@ -17,6 +18,7 @@ from crlab import (
     surface_point,
     tangency_residual,
 )
+from crlab import fields
 from crlab.autsolve import VALIDATION_POINTS
 
 T_GRID = np.linspace(-0.3, 0.3, 9)
@@ -186,3 +188,18 @@ def test_eval_matches_naive_formula_bit_for_bit():
                     assert _bits(s1) == _bits(complex(_naive_eval(g.coeffs1, a, b)))
                     assert _bits(s2) == _bits(complex(_naive_eval(g.coeffs2, a, b)))
 
+
+
+def test_field_terms_are_sorted_once(monkeypatch):
+    # A flow calls eval thousands of times: the terms are sorted on the first.
+    f = VectorFieldPoly({(2, 1): 1j, (0, 0): 2.0 + 0j, (1, 3): -1.0 + 0j}, {(0, 1): 1j})
+    calls = []
+    monkeypatch.setattr(
+        fields, "sorted", lambda items: calls.append(1) or builtins.sorted(items), raising=False
+    )
+    for _ in range(3):
+        f.eval(0.1 + 0.2j, 0.3j)
+        f.eval(np.array([0.1j, 0.2]), np.array([0.2, -0.1j]))
+    assert len(calls) == 2  # one per component
+    assert f._terms == (tuple(builtins.sorted(f.coeffs1.items())),
+                        tuple(builtins.sorted(f.coeffs2.items())))

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,16 @@ def test_m_validation():
         ModelSpec("unknown-family", g)
     with pytest.raises(ParameterError):
         ModelSpec(ONE_NONMINIMAL, g, t_bound=0.0)
+
+
+def test_m_above_the_float_range_is_rejected():
+    # t**m and m * P convert m to a float: OverflowError beyond its range.
+    g = get_germ("p1")
+    with pytest.raises(ParameterError, match="float range"):
+        ModelSpec(M_NONMINIMAL, g, m=10**400)
+    with pytest.raises(ParameterError, match="float range"):
+        ModelSpec(M_NONMINIMAL, g, m=int(sys.float_info.max) + 1)
+    assert ModelSpec(M_NONMINIMAL, g, m=int(sys.float_info.max)).m > 10**308
 
 
 def test_describe_round_trips_family_and_germ():

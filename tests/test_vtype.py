@@ -12,7 +12,8 @@ from crlab import (
     vanishing_order,
 )
 from crlab.germs import SmoothGerm
-from crlab.vtype import write_scan_csv
+from crlab import vtype
+from crlab.vtype import DEFAULT_RADII, write_scan_csv
 
 
 def power_germ(k: int) -> SmoothGerm:
@@ -170,6 +171,8 @@ def test_vanishing_order_matches_per_radius_loop_exactly(gid, window):
         {"radii": [float("inf"), *np.logspace(-3, -1, 9)]},
         {"K_max": float("nan")},
         {"K_max": float("inf")},
+        # Beyond the float range: an OverflowError before K_max was checked.
+        {"K_max": 10**400},
     ],
 )
 def test_vanishing_order_rejects_bad_window(kwargs, capfd):
@@ -182,3 +185,26 @@ def test_vanishing_order_rejects_bad_window(kwargs, capfd):
 def test_vanishing_order_rejects_non_finite_point(z):
     with pytest.raises(ParameterError):
         vanishing_order(get_germ("p1"), z)
+
+
+@pytest.mark.parametrize("a", [1.0, 2.0])
+@pytest.mark.parametrize("gid", ["p1", "p2", "p3", "counterexample", "control"])
+def test_default_window_equals_the_same_window_given_explicitly(gid, a):
+    # The default window is built once at import; the same radii given
+    # explicitly (and unsorted) are built on each call.  At the origin and
+    # at 0.02j some radii underflow to a zero increment for the flat germs,
+    # so the fit takes only some rows of the window's matrix.
+    germ = get_germ(gid, a=a)
+    rng = np.random.default_rng(27)
+    points = [0.0, 0.02j, 0.3j, 0.3, *(0.55 * np.sqrt(rng.uniform(size=12))
+                                      * np.exp(2j * np.pi * rng.uniform(size=12)))]
+    explicit = {"radii": list(DEFAULT_RADII)[::-1], "n_angles": 16, "K_max": 20}
+    for z in points:
+        assert repr(vanishing_order(germ, z)) == repr(vanishing_order(germ, z, **explicit))
+
+
+def test_default_window_is_read_only():
+    for array in vtype._DEFAULT_WINDOW:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array.flat[0] = 0
